@@ -31,13 +31,7 @@ from repro import __version__
 from repro.core.classify import classify
 from repro.core.query import BCQ
 from repro.db.valuation import count_total_valuations
-from repro.exact.dispatch import (
-    count_completions,
-    count_valuations,
-    resolve_completion_method,
-    resolve_valuation_method,
-    solve,
-)
+from repro.exact.dispatch import solve
 from repro.io.databases import parse_database
 from repro.io.queries import parse_query
 
@@ -73,20 +67,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     with capture() as captured:
         with span("cli.count", mode=args.mode):
-            if args.mode == "val":
-                if query is None:
-                    resolved = "total"
-                    count = count_total_valuations(db)
-                else:
-                    resolved = resolve_valuation_method(db, query, args.method)
-                    count = count_valuations(
-                        db, query, method=resolved, budget=args.budget
-                    )
+            if args.mode == "val" and query is None:
+                resolved = "total"
+                count = count_total_valuations(db)
             else:
-                resolved = resolve_completion_method(db, query, args.method)
-                count = count_completions(
-                    db, query, method=resolved, budget=args.budget
-                )
+                answer = solve(args.mode, db, query, method=args.method, budget=args.budget)
+                resolved, count = answer.method, answer.count
     elapsed = time.perf_counter() - started
     if args.trace:
         _print_trace(captured)
@@ -559,15 +545,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     query = parse_query(args.query) if args.query else None
     with capture() as captured:
         with span("cli.stats", mode=args.mode):
-            if args.mode == "val":
-                if query is None:
-                    count = count_total_valuations(db)
-                else:
-                    resolved = resolve_valuation_method(db, query, args.method)
-                    count = count_valuations(db, query, method=resolved)
+            if args.mode == "val" and query is None:
+                count = count_total_valuations(db)
             else:
-                resolved = resolve_completion_method(db, query, args.method)
-                count = count_completions(db, query, method=resolved)
+                count = solve(args.mode, db, query, method=args.method).count
     snapshot = default_registry().snapshot()
     if args.json:
         print(

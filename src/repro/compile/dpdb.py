@@ -49,12 +49,13 @@ the running maximum against ``2^61`` — and exact Python-int/Fraction
 object columns otherwise.  Without numpy a scalar fallback runs the same
 recurrences over plain lists.
 
-The planner talks to this module through :func:`dpdb_probe` — a memoized
-width probe that compiles the encoding once, reads the two-phase greedy
-elimination width off the (cached) primal masks, and hands the order to
-the runner so probing and solving share one elimination — and falls back
-to the trail core when the width exceeds :data:`DPDB_HARD_WIDTH_CAP` or
-the probe blows its budget.
+The planner talks to this module through :func:`dpdb_probe` — called
+only when a plan prices ``dpdb`` (never once a closed form applies) — a
+memoized width probe that compiles the encoding once, reads the
+two-phase greedy elimination width off the (cached) primal masks, and
+hands the order to the runner so probing and solving share one
+elimination — and falls back to the trail core when the width exceeds
+:data:`DPDB_HARD_WIDTH_CAP` or the probe blows its budget.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ the run.  The historical per-problem functions (``count_valuations`` /
 their signatures and behavior unchanged.  There is no per-method
 conditional here: adding a solver is one
 :func:`repro.exact.planner.register` call, and ``repro-count plan`` prints
-the full decision (chosen method, rejected alternatives, reasons) for any
-instance.
+the decision (chosen method, rejected alternatives, reasons) for any
+instance; methods that can no longer be chosen — everything past an
+applicable closed form, everything but a forced method — are listed as
+not evaluated rather than priced.
 
 Method vocabulary (see the registry for the authoritative table):
 

@@ -15,8 +15,13 @@ registered here as a :class:`Method` with
 * the **solver callable** itself.
 
 :func:`plan` turns ``(problem, D, q, method)`` into an explainable
-:class:`Plan`: the chosen method plus every rejected alternative with its
-reason.  ``method='auto'`` picks the cheapest applicable method,
+:class:`Plan`: the chosen method plus every alternative with its reason.
+A plan prices only the methods that can still be chosen: under ``auto``
+and ``poly`` the polynomial methods' shape predicates run first, and when
+one applies the rest are listed as ``not evaluated`` (the tier lattice
+makes any applicable closed form cheaper than all of them); a forced
+method prices only itself and, if it cannot apply, its fallback.
+``method='auto'`` picks the cheapest applicable method,
 ``method='poly'`` restricts the choice to polynomial methods (and the plan
 carries the hardness verdict when none applies), and a concrete method
 name is honored verbatim — with the registered fallback (e.g. the lineage
@@ -275,64 +280,61 @@ def plan(
     if method not in valid:
         raise ValueError("unknown method %r (one of %s)" % (method, valid))
 
-    considered: list[Considered] = []
-    verdicts: dict[str, tuple[bool, str, float | None]] = {}
-    for entry in entries:
-        applicable, reason = entry.applies(db, query)
-        cost = entry.cost(db, query) if applicable else None
-        detail = (
-            entry.detail(db, query)
-            if applicable and entry.detail is not None
-            else None
-        )
-        verdicts[entry.name] = (applicable, reason, cost)
-        considered.append(
-            Considered(
-                method=entry.name,
-                applicable=applicable,
-                reason=reason,
-                cost=cost,
-                polynomial=entry.polynomial,
-                supports_weights=entry.supports_weights,
-                supports_marginals=entry.supports_marginals,
-                detail=detail,
-            )
-        )
+    verdicts: dict[str, Considered] = {}
+
+    def evaluate(batch: list[Method]) -> list[Considered]:
+        """Price ``batch``; return its applicable verdicts in order."""
+        for entry in batch:
+            applicable, reason = entry.applies(db, query)
+            cost = entry.cost(db, query) if applicable else None
+            detail = entry.detail(db, query) if applicable and entry.detail else None
+            verdicts[entry.name] = _verdict(entry, applicable, reason, cost, detail)
+        return [verdicts[entry.name] for entry in batch if verdicts[entry.name].applicable]
 
     notes: list[str] = []
     error: str | None = None
     chosen: str | None
     if method in ("auto", "poly"):
-        pool = [
-            entry
-            for entry in entries
-            if verdicts[entry.name][0]
-            and (method == "auto" or entry.polynomial)
-        ]
+        # The tier lattice puts every polynomial method below every other
+        # one, so the cheap shape predicates run first and a hit makes the
+        # rest (lineage encodes, the dpdb width probe) moot.
+        pool = evaluate([entry for entry in entries if entry.polynomial])
         if pool:
-            chosen = min(
-                pool, key=lambda entry: verdicts[entry.name][2]  # type: ignore[arg-type, return-value]
-            ).name
-        else:
+            chosen = min(pool, key=_cost_of).method
+            moot = "not evaluated: polynomial method %r applies" % chosen
+        elif method == "poly":
             chosen = None
+            moot = "not evaluated: request 'poly' admits polynomial methods only"
+        else:
+            pool = evaluate([entry for entry in entries if not entry.polynomial])
+            chosen = min(pool, key=_cost_of).method if pool else None
+            moot = ""
+        if chosen is None:
             error = _no_method_error(problem, query, method)
     else:
         entry = _REGISTRY[problem][method]
-        applicable, reason, _cost = verdicts[method]
-        if not applicable and entry.fallback is not None:
+        moot = "not evaluated: request forces %r" % method
+        if evaluate([entry]):
+            chosen = method
+        elif entry.fallback is not None:
+            evaluate([_REGISTRY[problem][entry.fallback]])
             chosen = entry.fallback
             notes.append(
                 "requested %r cannot handle this instance (%s); "
-                "degrading to %r" % (method, reason, entry.fallback)
+                "degrading to %r"
+                % (method, verdicts[method].reason, entry.fallback)
             )
         else:
             chosen = method
-            if not applicable:
-                notes.append(
-                    "forced %r although the planner does not expect it to "
-                    "apply (%s); the solver will raise its own error"
-                    % (method, reason)
-                )
+            notes.append(
+                "forced %r although the planner does not expect it to "
+                "apply (%s); the solver will raise its own error"
+                % (method, verdicts[method].reason)
+            )
+    considered = tuple(
+        verdicts.get(entry.name) or _verdict(entry, False, moot)
+        for entry in entries
+    )
     _obs_event(
         "planner.decision",
         problem=problem,
@@ -346,6 +348,9 @@ def plan(
             for item in considered
             if item.cost is not None
         },
+        unevaluated=[
+            entry.name for entry in entries if entry.name not in verdicts
+        ],
         failed=error is not None,
     )
     if chosen is not None:
@@ -354,10 +359,34 @@ def plan(
         problem=problem,
         requested=method,
         chosen=chosen,
-        considered=tuple(considered),
+        considered=considered,
         notes=tuple(notes),
         error=error,
     )
+
+
+def _verdict(
+    entry: Method,
+    applicable: bool,
+    reason: str,
+    cost: float | None = None,
+    detail: Mapping[str, Any] | None = None,
+) -> Considered:
+    return Considered(
+        method=entry.name,
+        applicable=applicable,
+        reason=reason,
+        cost=cost,
+        polynomial=entry.polynomial,
+        supports_weights=entry.supports_weights,
+        supports_marginals=entry.supports_marginals,
+        detail=detail,
+    )
+
+
+def _cost_of(item: Considered) -> float:
+    assert item.cost is not None
+    return item.cost
 
 
 def _no_method_error(
@@ -507,36 +536,19 @@ def _applies_lineage(
     return True, "(U)CQ lineage compiles to CNF; exact #SAT search"
 
 
-def _applies_dpdb(kind: str) -> Applies:
-    """Applicability of the tree-decomposition DP for ``val``/``comp``.
-
-    Applies wherever lineage does (a forced ``method='dpdb'`` is honored;
-    the runner itself degrades to the trail core above its hard width
-    cap), but the *reason* carries the width probe's verdict so the plan
-    explains why ``auto`` did or did not pick it.
-    """
-
-    def applies(
-        db: IncompleteDatabase, query: BooleanQuery | None
-    ) -> tuple[bool, str]:
-        if (kind == "val" or query is not None) and not lineage_supports(
-            query
-        ):
-            return False, "lineage compilation handles (U)CQs only"
-        probe = dpdb_probe(kind, db, query)
-        if probe.ok and probe.width is not None:
-            if probe.width <= DPDB_WIDTH_LIMIT:
-                return True, (
-                    "elimination width %d <= %d: join/project/sum DP "
-                    "linear in formula size" % (probe.width, DPDB_WIDTH_LIMIT)
-                )
-            return True, (
-                "elimination width %d > %d: trail search preferred"
-                % (probe.width, DPDB_WIDTH_LIMIT)
-            )
-        return True, "%s; trail search preferred" % probe.reason
-
-    return applies
+def _applies_dpdb(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Applies wherever lineage does: a forced ``method='dpdb'`` is
+    honored (the runner itself degrades to the trail core above its hard
+    width cap).  The width probe's verdict lives in dpdb's cost and
+    detail, so only a plan that prices dpdb pays for the probe."""
+    if not lineage_supports(query):
+        return False, "lineage compilation handles (U)CQs only"
+    return True, (
+        "(U)CQ lineage compiles to CNF; DP over a tree decomposition "
+        "(width in detail)"
+    )
 
 
 def _applies_circuit(
@@ -821,7 +833,7 @@ register(Method(
     polynomial=False,
     supports_weights=False,
     supports_marginals=False,
-    applies=_applies_dpdb("val"),
+    applies=_applies_dpdb,
     cost=_dpdb_cost("val"),
     run=_run_ignoring(count_valuations_dpdb),
     fallback="brute",
@@ -899,7 +911,7 @@ register(Method(
     polynomial=False,
     supports_weights=False,
     supports_marginals=False,
-    applies=_applies_dpdb("comp"),
+    applies=_applies_dpdb,
     cost=_dpdb_cost("comp"),
     run=_run_ignoring(count_completions_dpdb),
     fallback="brute",

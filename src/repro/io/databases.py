@@ -199,14 +199,44 @@ def _format_value(value: Term) -> str:
     return "'%s'" % text
 
 
-def _format_fact_term(term: Term) -> str:
-    if is_null(term):
-        return "?%s" % term.label
-    return _format_value(term)
+_NULL_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _null_names(db: IncompleteDatabase) -> dict[Null, str]:
+    """A distinct parseable name per null.
+
+    Labels whose text already is a bare word keep it (first come, first
+    served); any other label (a tuple such as ``('r', 0)``, text with
+    spaces or punctuation) becomes its word characters joined by ``_``,
+    suffixed ``_2``, ``_3``, ... until no other null of ``db`` uses it.
+    """
+    names: dict[Null, str] = {}
+    taken: set[str] = set()
+    for null in db.nulls:
+        text = str(null.label)
+        if _NULL_NAME_RE.fullmatch(text) and text not in taken:
+            names[null] = text
+            taken.add(text)
+    for null in db.nulls:
+        if null in names:
+            continue
+        base = "_".join(_NULL_NAME_RE.findall(str(null.label))) or "null"
+        name, suffix = base, 1
+        while name in taken:
+            suffix += 1
+            name = "%s_%d" % (base, suffix)
+        names[null] = name
+        taken.add(name)
+    return names
 
 
 def format_database(db: IncompleteDatabase) -> str:
-    """Round-trippable text form (header lines then sorted facts)."""
+    """Round-trippable text form (header lines then sorted facts).
+
+    Nulls are written under the names of :func:`_null_names`, so the
+    parsed database is the same up to a renaming of its nulls.
+    """
+    names = _null_names(db)
     lines: list[str] = []
     if db.is_uniform:
         lines.append(
@@ -218,7 +248,7 @@ def format_database(db: IncompleteDatabase) -> str:
             lines.append(
                 "null %s: %s"
                 % (
-                    null.label,
+                    names[null],
                     " ".join(
                         _format_value(v)
                         for v in sorted(db.domain_of(null), key=repr)
@@ -230,7 +260,10 @@ def format_database(db: IncompleteDatabase) -> str:
             "%s(%s)"
             % (
                 fact.relation,
-                ", ".join(_format_fact_term(t) for t in fact.terms),
+                ", ".join(
+                    "?" + names[term] if is_null(term) else _format_value(term)
+                    for term in fact.terms
+                ),
             )
         )
     return "\n".join(lines) + "\n"

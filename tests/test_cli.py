@@ -71,6 +71,39 @@ class TestCount:
         ) == 0
         assert int(capsys.readouterr().out.strip()) == 2
 
+    def test_count_plans_once(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import add_sink, remove_sink
+
+        path = tmp_path / "codd.idb"
+        path.write_text(
+            "null n1: a b\nnull n2: a c\nR(?n1, a)\nS(?n2)\n",
+            encoding="utf-8",
+        )
+        decisions = []
+
+        def sink(record):
+            if record.get("name") == "planner.decision":
+                decisions.append(record)
+
+        add_sink(sink)
+        try:
+            assert main(
+                [
+                    "count", "--mode", "val", "--db", str(path),
+                    "--query", "R(x, y), S(z)", "--trace", "--json",
+                ]
+            ) == 0
+        finally:
+            remove_sink(sink)
+        assert len(decisions) == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert set(payload) == {"mode", "count", "method", "seconds"}
+        assert payload["mode"] == "val"
+        assert payload["method"] == decisions[0]["chosen"] == "single-occurrence"
+        assert payload["count"] == 4
+
 
 class TestPlan:
     def test_val_auto_explains_choice_and_rejections(self, db_file, capsys):

@@ -8,8 +8,8 @@ from repro.complexity.cnf import CNF
 from repro.compile.sharpsat import ModelCounter
 from repro.engine import BatchEngine, CountJob, execute_job
 from repro.engine.jsonl import RESULT_KEYS, read_results, write_results
-from repro.obs import capture, default_registry, set_enabled
-from repro.workloads.generators import scaling_hard_val_instance
+from repro.obs import add_sink, capture, default_registry, remove_sink, set_enabled
+from repro.workloads.generators import scaling_codd_instance, scaling_hard_val_instance
 
 STATS_KEYS = {
     "core", "decisions", "propagations", "conflicts", "max_trail_depth",
@@ -82,6 +82,43 @@ class TestJobMetrics:
             for name in metrics["phases"]
         )
         assert metrics["counters"].get("planner.decision", 0) >= 1
+
+    def test_planner_decisions_name_unevaluated_methods(self):
+        events = []
+
+        def sink(record):
+            if record.get("name") == "planner.decision":
+                events.append(record)
+
+        add_sink(sink)
+        try:
+            hard = execute_job(CountJob("val", *scaling_hard_val_instance(6, seed=6)))
+            codd = execute_job(CountJob("val", *scaling_codd_instance(6, seed=1)))
+        finally:
+            remove_sink(sink)
+        assert hard.ok and codd.ok
+        # The engine resolves under auto, then runs the resolved method,
+        # which re-plans as a forced request.
+        hard_auto, hard_forced, codd_auto, codd_forced = events
+        assert hard_auto["requested"] == "auto"
+        assert hard_auto["unevaluated"] == []
+        assert "dpdb" in hard_auto["costs"]
+        assert hard_forced["requested"] == hard_forced["chosen"] == hard.method
+        assert hard_forced["unevaluated"] == [
+            name for name in ("single-occurrence", "codd", "uniform", "delta",
+                              "dpdb", "lineage", "circuit", "brute")
+            if name != hard.method
+        ]
+        assert codd_auto["chosen"] == "codd"
+        assert codd_auto["unevaluated"] == [
+            "delta", "dpdb", "lineage", "circuit", "brute",
+        ]
+        for name in codd_auto["unevaluated"]:
+            assert codd_auto["rejected"][name] == (
+                "not evaluated: polynomial method 'codd' applies"
+            )
+            assert name not in codd_auto["costs"]
+        assert codd_forced["costs"] == {"codd": codd_auto["costs"]["codd"]}
 
     def test_metrics_absent_when_disabled(self):
         db, query = scaling_hard_val_instance(5, seed=5)
