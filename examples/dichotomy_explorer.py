@@ -11,10 +11,7 @@ Run:  python examples/dichotomy_explorer.py
 from repro.core.classify import Tractability, classify
 from repro.core.problems import VAL, VAL_CODD, VAL_UNIFORM
 from repro.core.query import Atom, BCQ
-from repro.exact.dispatch import (
-    count_valuations,
-    select_valuation_algorithm,
-)
+from repro.exact.dispatch import count_valuations, plan
 from repro.io.queries import format_query
 from repro.workloads.generators import random_incomplete_db
 
@@ -41,7 +38,7 @@ for query in CATALOGUE:
         db = random_incomplete_db(
             schema, seed=7, uniform=uniform, codd=codd, domain_size=3
         )
-        algorithm = select_valuation_algorithm(db, query)
+        algorithm = plan("val", db, query, "poly").chosen
         count = count_valuations(db, query)
         verdict = report.entry(variant).tractability
         print(

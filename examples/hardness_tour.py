@@ -153,11 +153,11 @@ import time
 
 from repro.core.query import Atom, BCQ
 from repro.db.valuation import count_total_valuations
-from repro.exact.dispatch import count_valuations, resolve_valuation_method
+from repro.exact.dispatch import count_valuations, plan
 
 big_db = build_three_coloring_db(cycle_graph(40))
 hard_query = BCQ([Atom("R", ["x", "x"])])
-chosen = resolve_valuation_method(big_db, hard_query)
+chosen = plan("val", big_db, hard_query).chosen
 assert chosen == "dpdb"  # the 40-cycle's elimination width is far below the cap
 started = time.perf_counter()
 hard_count = count_valuations(big_db, hard_query)

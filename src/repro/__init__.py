@@ -11,8 +11,9 @@ Public API highlights::
 
 :func:`solve` is the unified front door — one call for every planner
 problem (``val``, ``comp``, ``val-weighted``, ``marginals``, ``sweep``)
-returning a structured :class:`Answer`; the per-problem functions remain
-as thin wrappers.
+returning a structured :class:`Answer`; :func:`plan` returns the same
+explainable method choice without running it.  The per-problem functions
+remain as thin wrappers.
 """
 
 from repro.core.query import Atom, BCQ, Const, Negation, UCQ, Var
@@ -26,10 +27,7 @@ from repro.exact import (
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_completions,
-    plan_sweep,
-    plan_valuations,
-    plan_valuations_weighted,
+    plan,
     solve,
 )
 
@@ -54,10 +52,7 @@ __all__ = [
     "count_valuations",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
+    "plan",
     "solve",
     "__version__",
 ]

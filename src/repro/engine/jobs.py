@@ -8,11 +8,13 @@ serial path and the pool workers run; it never raises, reporting solver
 failures in :attr:`JobResult.error` instead so one poisoned instance cannot
 take down a batch.
 
-Problem kinds that evaluate a compiled d-DNNF circuit (``val-weighted``,
-``marginals``, and the exact problems under ``method='circuit'``) accept a
-circuit store (:class:`~repro.engine.cache.CountCache`): the instance is
-compiled at most once per store and every further question about it is a
-linear circuit pass — the amortization the batch engine exists for.
+Every planner problem (``val``, ``comp``, ``val-weighted``,
+``marginals``, ``sweep``) is answered by one :func:`repro.exact.dispatch.
+solve` call.  The engine hands ``solve()`` its circuit store
+(:class:`~repro.engine.cache.CountCache`) as the ``circuits`` provider,
+so whenever the planner picks the circuit method the instance is compiled
+at most once per store and every further question about it is a linear
+circuit pass — the amortization the batch engine exists for.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
+from repro.exact import planner
 from repro.exact.brute import DEFAULT_BUDGET
+from repro.exact.dispatch import solve
 from repro.obs import capture as _capture
 
 #: Problem kinds the engine understands.
@@ -32,9 +36,6 @@ PROBLEMS = (
     "val", "comp", "approx-val", "val-weighted", "marginals", "sweep",
     "update",
 )
-
-#: Problems answered by passes over a compiled circuit.
-CIRCUIT_PROBLEMS = ("val-weighted", "marginals", "sweep")
 
 #: Problems whose ``weights`` knob is meaningful: the scalar circuit
 #: problems take one per-null table, ``sweep`` takes a *sequence* of
@@ -56,7 +57,8 @@ class CountJob:
     sequence, the result one count per table) or ``'update'`` (``#Val``
     of ``db`` after applying the ``deltas`` chain, answered from a cached
     ancestor circuit when possible).  ``method`` and ``budget`` are
-    forwarded to :mod:`repro.exact.dispatch` for the exact problems.
+    forwarded to :func:`repro.exact.dispatch.solve` for the planner
+    problems.
     """
 
     problem: str
@@ -277,23 +279,15 @@ def needs_circuit(job: CountJob) -> bool:
     circuit — it stays pool-eligible and its memo entry stays unlinked
     (an instance link would make the cache refuse to store it).
     """
-    # Imported lazily: dispatch builds on the engine (circular otherwise).
     from repro.compile.backend import lineage_supports
-    from repro.exact.dispatch import (
-        resolve_sweep_method,
-        resolve_weighted_method,
-    )
 
     if job.problem in ("marginals", "update"):
         return True
     if job.problem in ("val-weighted", "sweep"):
-        resolver = (
-            resolve_sweep_method
-            if job.problem == "sweep"
-            else resolve_weighted_method
-        )
         try:
-            resolved = resolver(job.db, job.query, job.method)
+            resolved = planner.resolve(
+                job.problem, job.db, job.query, job.method
+            )
         except ValueError:
             # Invalid method for this problem: execute_job will turn it
             # into a per-job error — the partition must not raise.
@@ -333,25 +327,28 @@ def instance_fingerprint_of(job: CountJob) -> str | None:
     return fingerprint_instance(db, job.query, kind)
 
 
-def _circuit_for(job: CountJob, circuits: Any) -> tuple[Any, str]:
-    """The compiled circuit for ``job``'s instance, plus how it was got.
+def _circuit_for(
+    db: IncompleteDatabase,
+    query: BooleanQuery | None,
+    kind: str,
+    circuits: Any,
+) -> tuple[Any, str]:
+    """The compiled ``kind`` circuit of ``(db, query)``, plus how it was got.
 
     Returns ``(circuit, source)`` with ``source`` one of ``'cached'``
     (store hit), ``'derived'`` (conditioned or spliced from a cached
     delta ancestor — see :mod:`repro.engine.incremental`) or
-    ``'compiled'`` (fresh).  Derivation kicks in for *any* circuit
-    problem whose instance carries delta provenance, not just
-    ``'update'`` jobs.
+    ``'compiled'`` (fresh, and put into the store when there is one).
+    Derivation kicks in for *any* circuit question whose instance carries
+    delta provenance, not just ``'update'`` jobs.
     """
     from repro.compile.backend import CompletionCircuit, ValuationCircuit
 
-    db = instance_db(job)
-    kind = "comp" if job.problem == "comp" else "val"
     fingerprint = None
     if circuits is not None:
         from repro.engine.fingerprint import fingerprint_instance
 
-        fingerprint = fingerprint_instance(db, job.query, kind)
+        fingerprint = fingerprint_instance(db, query, kind)
     if fingerprint is not None:
         cached = circuits.get_circuit(fingerprint)
         if cached is not None:
@@ -360,25 +357,18 @@ def _circuit_for(job: CountJob, circuits: Any) -> tuple[Any, str]:
             from repro.engine.incremental import derive_instance_circuit
 
             derived = derive_instance_circuit(
-                db, job.query, kind, circuits, fingerprint
+                db, query, kind, circuits, fingerprint
             )
             if derived is not None:
                 return derived, "derived"
-    if job.problem == "comp":
-        compiled: Any = CompletionCircuit(db, job.query)
+    if kind == "comp":
+        compiled: Any = CompletionCircuit(db, query)
     else:
-        assert job.query is not None
-        compiled = ValuationCircuit(db, job.query)
+        assert query is not None
+        compiled = ValuationCircuit(db, query)
     if fingerprint is not None:
         circuits.put_circuit(fingerprint, compiled)
     return compiled, "compiled"
-
-
-def _instance_circuit(job: CountJob, circuits: Any):
-    """The compiled circuit for ``job``'s instance — cached when a store
-    is available, compiled fresh otherwise."""
-    circuit, _source = _circuit_for(job, circuits)
-    return circuit
 
 
 def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:
@@ -393,87 +383,41 @@ def marginals_record(marginals: dict) -> dict[str, dict[str, float]]:
 
 
 def _solve(job: CountJob, circuits: Any = None) -> tuple[Any, str]:
-    # Imported lazily: dispatch offers batch wrappers built on the engine,
-    # so a module-level import would be circular.
-    from repro.exact.dispatch import (
-        count_completions,
-        count_valuations,
-        count_valuations_sweep,
-        count_valuations_weighted,
-        resolve_completion_method,
-        resolve_sweep_method,
-        resolve_valuation_method,
-        resolve_weighted_method,
-    )
+    if job.problem == "approx-val":
+        from repro.approx.fpras import fpras_count_valuations
 
-    if job.problem == "val":
-        assert job.query is not None
-        resolved = resolve_valuation_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            return _instance_circuit(job, circuits).count(), resolved
-        return (
-            count_valuations(
-                job.db, job.query, method=resolved, budget=job.budget
-            ),
-            resolved,
+        estimate = fpras_count_valuations(
+            job.db,
+            job.query,  # type: ignore[arg-type]  # __post_init__ guarantees it
+            epsilon=job.epsilon,
+            delta=job.delta,
+            seed=job.seed,
         )
-    if job.problem == "comp":
-        resolved = resolve_completion_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            return _instance_circuit(job, circuits).count(), resolved
-        return (
-            count_completions(
-                job.db, job.query, method=resolved, budget=job.budget
-            ),
-            resolved,
-        )
-    if job.problem == "val-weighted":
-        assert job.query is not None
-        resolved = resolve_weighted_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            compiled = _instance_circuit(job, circuits)
-            return compiled.weighted_count(job.weights), resolved
-        return (
-            count_valuations_weighted(
-                job.db,
-                job.query,
-                job.weights,
-                method=resolved,
-                budget=job.budget,
-            ),
-            resolved,
-        )
-    if job.problem == "sweep":
-        assert job.query is not None
-        rows = list(job.weights or ())
-        resolved = resolve_sweep_method(job.db, job.query, job.method)
-        if resolved == "circuit":
-            compiled = _instance_circuit(job, circuits)
-            return compiled.weighted_count_many(rows), resolved
-        return (
-            count_valuations_sweep(
-                job.db, job.query, rows, method=resolved, budget=job.budget
-            ),
-            resolved,
-        )
-    if job.problem == "marginals":
-        compiled = _instance_circuit(job, circuits)
-        return marginals_record(compiled.marginals(job.weights)), "circuit"
+        return estimate, "karp-luby"
+
     if job.problem == "update":
-        assert job.query is not None
-        compiled, source = _circuit_for(job, circuits)
+        compiled, source = _circuit_for(
+            instance_db(job), job.query, "val", circuits
+        )
         # 'delta' marks an answer actually derived from an ancestor
         # circuit (conditioning or component splice); a cold store still
         # reports the honest 'circuit' compile.
         return compiled.count(), "delta" if source == "derived" else "circuit"
-    assert job.problem == "approx-val"
-    from repro.approx.fpras import fpras_count_valuations
 
-    estimate = fpras_count_valuations(
+    def provider(
+        db: IncompleteDatabase, query: BooleanQuery | None, kind: str
+    ) -> Any:
+        return _circuit_for(db, query, kind, circuits)[0]
+
+    answer = solve(
+        job.problem,
         job.db,
-        job.query,  # type: ignore[arg-type]  # __post_init__ guarantees it
-        epsilon=job.epsilon,
-        delta=job.delta,
-        seed=job.seed,
+        job.query,
+        method=job.method,
+        weights=job.weights,
+        budget=job.budget,
+        circuits=provider,
     )
-    return estimate, "karp-luby"
+    if job.problem == "marginals":
+        return marginals_record(answer.count), answer.method
+    return answer.count, answer.method

@@ -10,10 +10,13 @@
   case (unary schemas, uniform domain), with the warm-up closed forms.
 * :mod:`repro.exact.completion_check` — Lemma B.2 certificate check for
   Codd tables (bipartite matching).
-* :mod:`repro.exact.dispatch` — ``count_valuations`` / ``count_completions``
-  front doors that pick the best applicable algorithm; on hard cells they
-  now prefer the lineage-compilation backend (:mod:`repro.compile`) over
-  brute force for (U)CQs.
+* :mod:`repro.exact.planner` — the method registry: every algorithm above
+  and the compilation backends (:mod:`repro.compile`) with applicability
+  reasons and cost estimates.
+* :mod:`repro.exact.dispatch` — the front door: :func:`plan` explains the
+  method choice for one instance, :func:`solve` plans and runs it, and
+  ``count_valuations`` / ``count_completions`` (plus the weighted and
+  sweep variants) are thin wrappers over :func:`solve`.
 """
 
 from repro.exact.brute import (
@@ -37,14 +40,7 @@ from repro.exact.dispatch import (
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_completions,
-    plan_sweep,
-    plan_valuations,
-    plan_valuations_weighted,
-    resolve_completion_method,
-    resolve_sweep_method,
-    resolve_valuation_method,
-    resolve_weighted_method,
+    plan,
     solve,
 )
 
@@ -65,13 +61,6 @@ __all__ = [
     "count_valuations",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
-    "resolve_completion_method",
-    "resolve_sweep_method",
-    "resolve_valuation_method",
-    "resolve_weighted_method",
+    "plan",
     "solve",
 ]

@@ -1,32 +1,44 @@
 """Front-door counting API: plan, then run the chosen registry method.
 
-:func:`solve` is the one front door: ``solve(problem, db, query,
-method=..., weights=..., budget=...)`` plans the instance through the
-solver planner (:mod:`repro.exact.planner`) — a registry in which every
-algorithm declares its problem kinds, applicability conditions, capability
-flags and a cheap cost estimate — executes the chosen entry, and returns a
-structured :class:`Answer` carrying the count, the explainable
-:class:`Plan`, wall seconds, and the observability stats captured during
-the run.  The historical per-problem functions (``count_valuations`` /
+The front door is the pair :func:`plan` / :func:`solve`.
+``plan(problem, db, query, method)`` returns the explainable
+:class:`Plan` — chosen method, rejected alternatives, reasons — without
+running anything.  ``solve(problem, db, query, method=..., weights=...,
+budget=...)`` plans the instance through the solver planner
+(:mod:`repro.exact.planner`) — a registry in which every algorithm
+declares its problem kinds, applicability conditions, capability flags
+and a cheap cost estimate — executes the chosen entry, and returns a
+structured :class:`Answer` carrying the count, the :class:`Plan`, wall
+seconds, and the observability stats captured during the run.  The batch
+engine runs every planner problem through the same :func:`solve` call,
+handing it its circuit store as the ``circuits`` provider.  The
+historical per-problem functions (``count_valuations`` /
 ``count_completions`` / :func:`count_valuations_weighted` /
 :func:`count_valuations_sweep`) are thin wrappers over :func:`solve` with
 their signatures and behavior unchanged.  There is no per-method
 conditional here: adding a solver is one
 :func:`repro.exact.planner.register` call, and ``repro-count plan`` prints
-the decision (chosen method, rejected alternatives, reasons) for any
-instance; methods that can no longer be chosen — everything past an
-applicable closed form, everything but a forced method — are listed as
-not evaluated rather than priced.
+the decision for any instance; methods that can no longer be chosen —
+everything past an applicable closed form, everything but a forced
+method — are listed as not evaluated rather than priced.
 
 Method vocabulary (see the registry for the authoritative table):
 
 =================== ======================================================
 ``auto``            cheapest applicable method: a polynomial Table 1
-                    algorithm when one applies, else ``lineage`` on
-                    (U)CQs, else ``brute``
+                    algorithm when one applies, else the cheapest of
+                    ``delta`` / ``dpdb`` / ``lineage`` on (U)CQs, else
+                    ``brute``
 ``poly``            polynomial algorithm or :class:`NoPolynomialAlgorithm`
 ``single-occurrence`` Theorem 3.6 closed formula (``#Val``, weighted too)
 ``codd`` / ``uniform`` / ``uniform-unary``  Theorems 3.7 / 3.9 / 4.6
+``delta``           instances built by ``IncompleteDatabase.apply``:
+                    condition the parent's circuit, or recompile only the
+                    components the delta touched; degrades to ``circuit``
+                    on instances without delta provenance
+``dpdb``            compile to CNF, then a join/project/sum DP over a tree
+                    decomposition (preferred below the width limit);
+                    degrades to ``brute`` on non-(U)CQs
 ``lineage``         compile to CNF, exact #SAT with component caching;
                     degrades to ``brute`` on non-(U)CQs
 ``circuit``         the same search recorded once as a d-DNNF circuit
@@ -51,7 +63,7 @@ from repro.core.query import BooleanQuery
 from repro.db.incomplete import IncompleteDatabase
 from repro.exact import brute
 from repro.exact import planner
-from repro.exact.planner import NoPolynomialAlgorithm, Plan
+from repro.exact.planner import CircuitProvider, NoPolynomialAlgorithm, Plan, plan
 from repro.obs import capture as _capture
 
 __all__ = [
@@ -64,16 +76,7 @@ __all__ = [
     "count_valuations_batch",
     "count_valuations_sweep",
     "count_valuations_weighted",
-    "plan_completions",
-    "plan_sweep",
-    "plan_valuations",
-    "plan_valuations_weighted",
-    "resolve_completion_method",
-    "resolve_sweep_method",
-    "resolve_valuation_method",
-    "resolve_weighted_method",
-    "select_completion_algorithm",
-    "select_valuation_algorithm",
+    "plan",
     "solve",
 ]
 
@@ -110,6 +113,7 @@ def solve(
     method: str = "auto",
     weights: Any = None,
     budget: int | None = brute.DEFAULT_BUDGET,
+    circuits: CircuitProvider | None = None,
 ) -> Answer:
     """Answer one counting question: plan, run, report.
 
@@ -119,7 +123,10 @@ def solve(
     vocabulary (``'auto'``, ``'poly'`` where offered, or a concrete
     method name); ``weights`` is one per-null weight table for the
     weighted problems and a *sequence* of tables for ``'sweep'``;
-    ``budget`` only limits ``brute``.
+    ``budget`` only limits ``brute``; ``circuits`` is an optional
+    ``(db, query, kind) -> circuit`` provider the circuit methods take
+    their circuit from instead of compiling one (the batch engine passes
+    its circuit store; see :func:`repro.exact.planner.run`).
 
     Raises :class:`ValueError` for an unknown problem or method,
     :class:`NoPolynomialAlgorithm` when ``method='poly'`` hits a #P-hard
@@ -134,7 +141,8 @@ def solve(
     started = time.perf_counter()
     with _capture() as captured:
         count = planner.run(
-            problem, built.chosen, db, query, budget=budget, weights=weights
+            problem, built.chosen, db, query,
+            budget=budget, weights=weights, circuits=circuits,
         )
     seconds = time.perf_counter() - started
     stats: dict[str, Any] = {}
@@ -153,121 +161,6 @@ def solve(
         seconds=seconds,
         stats=stats,
     )
-
-
-# -- polynomial-cell selection ---------------------------------------------
-
-
-def _select_polynomial(
-    problem: str, db: IncompleteDatabase, query: BooleanQuery | None
-) -> str | None:
-    # The planner's poly mode already is "cheapest applicable polynomial
-    # method, or none"; a plan never raises, it just leaves chosen=None.
-    return planner.plan(problem, db, query, "poly").chosen
-
-
-def select_valuation_algorithm(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> str | None:
-    """Name of the applicable polynomial ``#Val`` algorithm, or ``None``.
-
-    Preference order (encoded as registry cost tiers): the Theorem 3.6
-    formula, then Theorem 3.7 (Codd tables), then Theorem 3.9 (uniform
-    naive tables).
-    """
-    return _select_polynomial("val", db, query)
-
-
-def select_completion_algorithm(
-    db: IncompleteDatabase, query: BooleanQuery | None
-) -> str | None:
-    """Name of the applicable polynomial ``#Comp`` algorithm, or ``None``."""
-    return _select_polynomial("comp", db, query)
-
-
-# -- plans -----------------------------------------------------------------
-
-
-def plan_valuations(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable ``#Val`` plan (chosen method + rejected alternatives)."""
-    return planner.plan("val", db, query, method)
-
-
-def plan_completions(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None = None,
-    method: str = "auto",
-) -> Plan:
-    """The explainable ``#Comp`` plan."""
-    return planner.plan("comp", db, query, method)
-
-
-def plan_valuations_weighted(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable weighted-``#Val`` plan."""
-    return planner.plan("val-weighted", db, query, method)
-
-
-def plan_sweep(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> Plan:
-    """The explainable plan for a weighted-``#Val`` sweep (one instance,
-    many weight tables)."""
-    return planner.plan("sweep", db, query, method)
-
-
-# -- resolution ------------------------------------------------------------
-
-
-def resolve_valuation_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm ``count_valuations`` will run.
-
-    ``auto`` resolves to the cheapest applicable registry method
-    (polynomial if one exists, else ``lineage`` on (U)CQs, else
-    ``brute``); ``poly`` raises :class:`NoPolynomialAlgorithm` on hard
-    cells; other names resolve to themselves (``lineage``/``circuit``
-    degrade to ``brute`` on queries the compiler cannot encode).
-    """
-    return planner.resolve("val", db, query, method)
-
-
-def resolve_completion_method(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None = None,
-    method: str = "auto",
-) -> str:
-    """The concrete algorithm ``count_completions`` will run."""
-    return planner.resolve("comp", db, query, method)
-
-
-def resolve_weighted_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm :func:`count_valuations_weighted` will run.
-
-    ``auto`` prefers the Theorem 3.6 closed form (weighted counting stays
-    a product of per-null sums on that cell), then the circuit backend on
-    any other (U)CQ, then weighted brute enumeration.
-    """
-    return planner.resolve("val-weighted", db, query, method)
-
-
-def resolve_sweep_method(
-    db: IncompleteDatabase, query: BooleanQuery, method: str = "auto"
-) -> str:
-    """The concrete algorithm :func:`count_valuations_sweep` will run.
-
-    Same preference order as :func:`resolve_weighted_method` — the
-    closed form on the Theorem 3.6 cell (one per-null product per
-    table), else the circuit backend, which compiles once and answers
-    every table in one batched pass, else brute enumeration per table.
-    """
-    return planner.resolve("sweep", db, query, method)
 
 
 # -- execution (thin wrappers over ``solve``) -------------------------------

@@ -26,9 +26,11 @@ method prices only itself and, if it cannot apply, its fallback.
 carries the hardness verdict when none applies), and a concrete method
 name is honored verbatim — with the registered fallback (e.g. the lineage
 compiler degrading to ``brute`` on a non-(U)CQ) applied exactly where the
-old dispatch ``if`` chains did.  :mod:`repro.exact.dispatch` and the
-``repro-count plan`` CLI are the two consumers; the batch engine reaches
-the registry through dispatch.
+old dispatch ``if`` chains did.  :func:`repro.exact.dispatch.solve` and
+the ``repro-count plan`` CLI are the two consumers; the batch engine calls
+``solve()`` with its circuit store as the ``circuits`` provider, so the
+circuit methods answer from a cached or derived circuit instead of
+compiling a fresh one.
 
 Adding a solver is now one :func:`register` call — dispatch, ``auto``,
 ``plan`` output and the capability table all pick it up without touching
@@ -41,14 +43,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.compile.backend import (
-    count_completions_circuit,
+    CompletionCircuit,
+    ValuationCircuit,
     count_completions_delta,
     count_completions_lineage,
-    count_valuations_circuit,
     count_valuations_delta,
     count_valuations_lineage,
     lineage_supports,
-    valuation_marginals,
 )
 from repro.compile.dpdb import (
     DPDB_WIDTH_LIMIT,
@@ -107,7 +108,11 @@ TIER_BRUTE = 20.0
 
 Applies = Callable[[IncompleteDatabase, BooleanQuery | None], "tuple[bool, str]"]
 Cost = Callable[[IncompleteDatabase, BooleanQuery | None], float]
+#: Solver entry point: ``run(db, query, budget=, weights=, circuits=)``.
 Run = Callable[..., Any]
+#: Where a circuit method gets its compiled circuit: ``(db, query, kind)``
+#: with ``kind`` ``'val'`` or ``'comp'`` (the batch engine's store).
+CircuitProvider = Callable[[IncompleteDatabase, BooleanQuery | None, str], Any]
 Detail = Callable[
     [IncompleteDatabase, BooleanQuery | None], "Mapping[str, Any] | None"
 ]
@@ -431,15 +436,24 @@ def run(
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Mapping[Any, Any] | None = None,
+    circuits: CircuitProvider | None = None,
 ) -> Any:
-    """Execute one *resolved* method through its registry entry."""
+    """Execute one *resolved* method through its registry entry.
+
+    ``circuits`` is an optional provider ``(db, query, kind) -> circuit``
+    (``kind`` is ``'val'`` or ``'comp'``); the circuit methods take their
+    circuit from it instead of compiling a fresh one, every other method
+    ignores it.
+    """
     entry = _REGISTRY.get(problem, {}).get(method)
     if entry is None:
         raise ValueError(
             "no registered method %r for problem %r" % (method, problem)
         )
     with _span("planner.run", problem=problem, method=method):
-        return entry.run(db, query, budget=budget, weights=weights)
+        return entry.run(
+            db, query, budget=budget, weights=weights, circuits=circuits
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +771,15 @@ def _brute_cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
 
 
 def _run_ignoring(function: Callable[..., Any], *forward: str) -> Run:
-    """Adapt a solver to the uniform ``run(db, query, budget, weights)``
-    signature, forwarding only the knobs it takes."""
+    """Adapt a solver to the uniform ``run(db, query, budget, weights,
+    circuits)`` signature, forwarding only the knobs it takes."""
 
     def adapted(
         db: IncompleteDatabase,
         query: BooleanQuery | None,
         budget: int | None = None,
         weights: Any = None,
+        circuits: CircuitProvider | None = None,
     ) -> Any:
         kwargs = {}
         if "budget" in forward:
@@ -774,6 +789,30 @@ def _run_ignoring(function: Callable[..., Any], *forward: str) -> Run:
         return function(db, query, **kwargs)
 
     return adapted
+
+
+def _run_circuit(kind: str, answer: Callable[[Any, Any], Any]) -> Run:
+    """A circuit method's runner: take the instance's circuit from the
+    ``circuits`` provider when one is given, else compile a fresh one,
+    then read the answer off it with ``answer(circuit, weights)``."""
+
+    def run(
+        db: IncompleteDatabase,
+        query: BooleanQuery | None,
+        budget: int | None = None,
+        weights: Any = None,
+        circuits: CircuitProvider | None = None,
+    ) -> Any:
+        if circuits is not None:
+            compiled = circuits(db, query, kind)
+        elif kind == "comp":
+            compiled = CompletionCircuit(db, query)
+        else:
+            assert query is not None
+            compiled = ValuationCircuit(db, query)
+        return answer(compiled, weights)
+
+    return run
 
 
 register(Method(
@@ -862,7 +901,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_ignoring(count_valuations_circuit),
+    run=_run_circuit("val", lambda circuit, weights: circuit.count()),
     fallback="brute",
 ))
 
@@ -940,7 +979,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_ignoring(count_completions_circuit),
+    run=_run_circuit("comp", lambda circuit, weights: circuit.count()),
     fallback="brute",
 ))
 
@@ -970,19 +1009,6 @@ register(Method(
     ),
 ))
 
-
-def _run_weighted_circuit(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    from repro.compile.backend import ValuationCircuit
-
-    assert query is not None
-    return ValuationCircuit(db, query).weighted_count(weights)
-
-
 register(Method(
     name="circuit",
     problem="val-weighted",
@@ -992,7 +1018,9 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_weighted_circuit,
+    run=_run_circuit(
+        "val", lambda circuit, weights: circuit.weighted_count(weights)
+    ),
     fallback="brute",
 ))
 
@@ -1010,17 +1038,6 @@ register(Method(
     ),
 ))
 
-
-def _run_marginals(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    assert query is not None
-    return valuation_marginals(db, query, weights)
-
-
 register(Method(
     name="circuit",
     problem="marginals",
@@ -1030,7 +1047,9 @@ register(Method(
     supports_marginals=True,
     applies=_applies_marginal_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_marginals,
+    run=_run_circuit(
+        "val", lambda circuit, weights: circuit.marginals(weights)
+    ),
 ))
 
 
@@ -1039,6 +1058,7 @@ def _run_sweep_single_occurrence(
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Any = None,
+    circuits: CircuitProvider | None = None,
 ) -> Any:
     return [
         _val_nonuniform.count_valuations_weighted_single_occurrence(
@@ -1048,23 +1068,12 @@ def _run_sweep_single_occurrence(
     ]
 
 
-def _run_sweep_circuit(
-    db: IncompleteDatabase,
-    query: BooleanQuery | None,
-    budget: int | None = None,
-    weights: Any = None,
-) -> Any:
-    from repro.compile.backend import ValuationCircuit
-
-    assert query is not None
-    return ValuationCircuit(db, query).weighted_count_many(list(weights or ()))
-
-
 def _run_sweep_brute(
     db: IncompleteDatabase,
     query: BooleanQuery | None,
     budget: int | None = None,
     weights: Any = None,
+    circuits: CircuitProvider | None = None,
 ) -> Any:
     return [
         brute.count_valuations_weighted_brute(
@@ -1095,7 +1104,10 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
-    run=_run_sweep_circuit,
+    run=_run_circuit(
+        "val",
+        lambda circuit, weights: circuit.weighted_count_many(list(weights or ())),
+    ),
     fallback="brute",
 ))
 

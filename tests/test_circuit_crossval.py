@@ -48,11 +48,10 @@ from repro.exact.brute import (
     count_valuations_brute,
     count_valuations_weighted_brute,
 )
+from repro.exact import planner
 from repro.exact.dispatch import (
     count_valuations,
     count_valuations_weighted,
-    resolve_valuation_method,
-    resolve_weighted_method,
 )
 from repro.workloads.generators import (
     random_incomplete_db,
@@ -373,17 +372,17 @@ class TestDispatchRouting:
     def test_circuit_method_resolves_and_falls_back(self):
         db = _db(0, True, False)
         query = QUERIES[1]
-        assert resolve_valuation_method(db, query, "circuit") == "circuit"
+        assert planner.resolve("val", db, query, "circuit") == "circuit"
         opaque = CustomQuery("opaque", ["R"], lambda database: True)
-        assert resolve_valuation_method(db, opaque, "circuit") == "brute"
+        assert planner.resolve("val", db, opaque, "circuit") == "brute"
 
     def test_weighted_routing(self):
         db = _db(0, True, False)
         free = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
-        assert resolve_weighted_method(db, free) == "single-occurrence"
-        assert resolve_weighted_method(db, QUERIES[1]) == "circuit"
+        assert planner.resolve("val-weighted", db, free) == "single-occurrence"
+        assert planner.resolve("val-weighted", db, QUERIES[1]) == "circuit"
         opaque = CustomQuery("opaque", ["R"], lambda database: True)
-        assert resolve_weighted_method(db, opaque) == "brute"
+        assert planner.resolve("val-weighted", db, opaque) == "brute"
 
     def test_weighted_single_occurrence_matches_brute(self):
         db = _db(5, False, False)

@@ -13,11 +13,10 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.engine import BatchEngine, CountJob
 from repro.exact.brute import count_valuations_brute
+from repro.exact import planner
 from repro.exact.dispatch import (
     count_completions,
     count_valuations,
-    resolve_completion_method,
-    resolve_valuation_method,
 )
 
 
@@ -105,7 +104,7 @@ class TestLineageOnNonUCQ:
     def test_negation_falls_back(self):
         negated = Negation(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
         assert (
-            resolve_valuation_method(self._db(), negated, "lineage")
+            planner.resolve("val", self._db(), negated, "lineage")
             == "brute"
         )
         assert count_valuations(
@@ -117,7 +116,7 @@ class TestLineageOnNonUCQ:
             "nonempty", ["R", "S"], lambda database: len(database) >= 2
         )
         assert (
-            resolve_valuation_method(self._db(), opaque, "lineage")
+            planner.resolve("val", self._db(), opaque, "lineage")
             == "brute"
         )
         assert count_valuations(self._db(), opaque, method="lineage") == (
@@ -127,7 +126,7 @@ class TestLineageOnNonUCQ:
     def test_comp_negation_falls_back(self):
         negated = Negation(BCQ([Atom("R", ["x"]), Atom("S", ["x"])]))
         assert (
-            resolve_completion_method(self._db(), negated, "lineage")
+            planner.resolve("comp", self._db(), negated, "lineage")
             == "brute"
         )
         assert count_completions(self._db(), negated, method="lineage") == (
@@ -137,7 +136,7 @@ class TestLineageOnNonUCQ:
     def test_ucq_still_uses_lineage(self):
         query = BCQ([Atom("R", ["x"])])
         assert (
-            resolve_valuation_method(self._db(), query, "lineage")
+            planner.resolve("val", self._db(), query, "lineage")
             == "lineage"
         )
 

@@ -143,6 +143,20 @@ class TestBatchEngine:
         assert result.ok
         assert result.method == "codd"
 
+    def test_marginals_jobs_use_the_planner_vocabulary(self):
+        db, query = scaling_hard_val_instance(5, seed=5)
+        bogus = execute_job(CountJob("marginals", db, query, method="warp"))
+        assert not bogus.ok
+        assert "unknown method 'warp'" in bogus.error
+        assert "('auto', 'circuit')" in bogus.error
+        answers = [
+            execute_job(CountJob("marginals", db, query, method=method))
+            for method in ("auto", "circuit")
+        ]
+        assert all(answer.ok for answer in answers)
+        assert [answer.method for answer in answers] == ["circuit", "circuit"]
+        assert answers[0].count == answers[1].count
+
 
 class TestPersistentPool:
     def test_pool_survives_batches_and_closes_idempotently(self):

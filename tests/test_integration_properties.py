@@ -17,8 +17,7 @@ from repro.exact.brute import count_completions_brute, count_valuations_brute
 from repro.exact.dispatch import (
     count_completions,
     count_valuations,
-    select_completion_algorithm,
-    select_valuation_algorithm,
+    plan,
 )
 from repro.workloads.generators import random_incomplete_db
 
@@ -82,13 +81,13 @@ class TestClassifierConsistentWithDispatcher:
         else:
             val_variant, comp_variant = VAL, None
         if report.entry(val_variant).tractability is Tractability.FP:
-            assert select_valuation_algorithm(db, query) is not None
+            assert plan("val", db, query, "poly").chosen is not None
         if (
             comp_variant is not None
             and report.entry(comp_variant).tractability is Tractability.FP
             and all(f.arity == 1 for f in db.facts)
         ):
-            assert select_completion_algorithm(db, query) is not None
+            assert plan("comp", db, query, "poly").chosen is not None
 
     @given(st.sampled_from(QUERIES + UNARY_QUERIES), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)

@@ -3,11 +3,13 @@ aggregation, result round-trips, and the always-on overhead guard."""
 
 import io
 import time
+from contextlib import contextmanager
 
 from repro.complexity.cnf import CNF
 from repro.compile.sharpsat import ModelCounter
-from repro.engine import BatchEngine, CountJob, execute_job
+from repro.engine import BatchEngine, CountCache, CountJob, execute_job
 from repro.engine.jsonl import RESULT_KEYS, read_results, write_results
+from repro.exact import planner
 from repro.obs import add_sink, capture, default_registry, remove_sink, set_enabled
 from repro.workloads.generators import scaling_codd_instance, scaling_hard_val_instance
 
@@ -29,6 +31,22 @@ def _hard_cnf(num_variables=30, seed=7):
             tuple(v if rng.random() < 0.5 else -v for v in chosen)
         )
     return cnf
+
+
+@contextmanager
+def _planner_decisions():
+    """Collect the ``planner.decision`` events emitted inside the block."""
+    events = []
+
+    def sink(record):
+        if record.get("name") == "planner.decision":
+            events.append(record)
+
+    add_sink(sink)
+    try:
+        yield events
+    finally:
+        remove_sink(sink)
 
 
 class TestCounterStats:
@@ -84,22 +102,16 @@ class TestJobMetrics:
         assert metrics["counters"].get("planner.decision", 0) >= 1
 
     def test_planner_decisions_name_unevaluated_methods(self):
-        events = []
-
-        def sink(record):
-            if record.get("name") == "planner.decision":
-                events.append(record)
-
-        add_sink(sink)
-        try:
-            hard = execute_job(CountJob("val", *scaling_hard_val_instance(6, seed=6)))
-            codd = execute_job(CountJob("val", *scaling_codd_instance(6, seed=1)))
-        finally:
-            remove_sink(sink)
+        hard_instance = scaling_hard_val_instance(6, seed=6)
+        codd_instance = scaling_codd_instance(6, seed=1)
+        with _planner_decisions() as events:
+            hard = execute_job(CountJob("val", *hard_instance))
+            codd = execute_job(CountJob("val", *codd_instance))
+            # The same instances re-planned as forced requests.
+            planner.plan("val", *hard_instance, hard.method)
+            planner.plan("val", *codd_instance, codd.method)
         assert hard.ok and codd.ok
-        # The engine resolves under auto, then runs the resolved method,
-        # which re-plans as a forced request.
-        hard_auto, hard_forced, codd_auto, codd_forced = events
+        hard_auto, codd_auto, hard_forced, codd_forced = events
         assert hard_auto["requested"] == "auto"
         assert hard_auto["unevaluated"] == []
         assert "dpdb" in hard_auto["costs"]
@@ -119,6 +131,27 @@ class TestJobMetrics:
             )
             assert name not in codd_auto["costs"]
         assert codd_forced["costs"] == {"codd": codd_auto["costs"]["codd"]}
+
+    def test_each_engine_job_plans_once(self):
+        hard = scaling_hard_val_instance(6, seed=6)
+        codd = scaling_codd_instance(6, seed=1)
+        cases = [
+            (CountJob("val", *hard), "dpdb"),
+            (CountJob("val", *codd), "codd"),
+            (CountJob("comp", *hard), None),
+            (CountJob("val-weighted", *hard), "circuit"),
+            (CountJob("sweep", *hard, weights=[None, None]), "circuit"),
+            (CountJob("marginals", *hard), "circuit"),
+        ]
+        for job, expected in cases:
+            with _planner_decisions() as events:
+                result = execute_job(job, CountCache())
+            assert result.ok, job.problem
+            if expected is not None:
+                assert result.method == expected
+            assert [event["chosen"] for event in events] == [result.method], (
+                job.problem
+            )
 
     def test_metrics_absent_when_disabled(self):
         db, query = scaling_hard_val_instance(5, seed=5)

@@ -19,11 +19,6 @@ from repro.exact.dispatch import (
     NoPolynomialAlgorithm,
     count_valuations,
     count_valuations_weighted,
-    plan_valuations,
-    plan_valuations_weighted,
-    resolve_completion_method,
-    resolve_valuation_method,
-    resolve_weighted_method,
 )
 from repro.workloads.generators import (
     scaling_codd_instance,
@@ -75,7 +70,7 @@ class TestRegistry:
 class TestPlans:
     def test_plan_reports_rejections_with_reasons(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        plan = plan_valuations(db, query)
+        plan = planner.plan("val", db, query)
         # The low-width hard cell now routes to the tree-decomposition DP.
         assert plan.chosen == "dpdb"
         rejected = {
@@ -91,7 +86,7 @@ class TestPlans:
 
     def test_plan_costs_order_applicable_methods(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        plan = plan_valuations(db, query)
+        plan = planner.plan("val", db, query)
         costs = {
             item.method: item.cost
             for item in plan.considered
@@ -102,33 +97,33 @@ class TestPlans:
 
     def test_poly_plan_on_hard_cell_carries_error(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        plan = plan_valuations(db, query, method="poly")
+        plan = planner.plan("val", db, query, method="poly")
         assert plan.chosen is None
         assert "#P-hard" in plan.error
 
     def test_forced_fallback_is_noted(self):
         db, _ = scaling_hard_val_instance(6, seed=1)
         opaque = CustomQuery("nonempty", ["R"], lambda database: True)
-        plan = plan_valuations(db, opaque, method="circuit")
+        plan = planner.plan("val", db, opaque, method="circuit")
         assert plan.chosen == "brute"
         assert any("degrading" in note for note in plan.notes)
 
     def test_forced_inapplicable_method_is_honored_with_note(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        plan = plan_valuations(db, query, method="codd")
+        plan = planner.plan("val", db, query, method="codd")
         assert plan.chosen == "codd"
         assert any("forced" in note for note in plan.notes)
 
     def test_unknown_method_raises(self):
         db, query = scaling_hard_val_instance(6, seed=1)
         with pytest.raises(ValueError, match="unknown method"):
-            plan_valuations(db, query, method="warp")
+            planner.plan("val", db, query, method="warp")
 
     def test_weighted_plan_prefers_closed_form_then_circuit(self):
         free = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
         db, query = scaling_hard_val_instance(6, seed=1)
-        assert plan_valuations_weighted(db, free).chosen == "single-occurrence"
-        assert plan_valuations_weighted(db, query).chosen == "circuit"
+        assert planner.plan("val-weighted", db, free).chosen == "single-occurrence"
+        assert planner.plan("val-weighted", db, query).chosen == "circuit"
 
     def test_marginals_plan(self):
         db, query = scaling_hard_val_instance(6, seed=1)
@@ -143,7 +138,7 @@ class TestPlans:
         import json
 
         db, query = scaling_hard_val_instance(6, seed=1)
-        record = plan_valuations(db, query).to_dict()
+        record = planner.plan("val", db, query).to_dict()
         json.dumps(record)
         assert record["chosen"] == "dpdb"
         assert all("reason" in item for item in record["considered"])
@@ -158,18 +153,18 @@ class TestDispatchParity:
 
     def test_auto_prefers_closed_forms_in_order(self):
         db, query = scaling_codd_instance(4, seed=1)
-        assert resolve_valuation_method(db, query) == "codd"
+        assert planner.resolve("val", db, query) == "codd"
         db, query = scaling_uniform_val_instance(6, seed=1)
-        assert resolve_valuation_method(db, query) == "uniform"
+        assert planner.resolve("val", db, query) == "uniform"
         free = BCQ([Atom("R", ["x", "y"]), Atom("S", ["z"])])
         db, _ = scaling_hard_val_instance(6, seed=1)
-        assert resolve_valuation_method(db, free) == "single-occurrence"
+        assert planner.resolve("val", db, free) == "single-occurrence"
 
     def test_auto_on_hard_cell_is_lineage(self):
         # A low-width hard cell goes to the DP; lineage is the choice as
         # soon as the width probe reports more than the dpdb limit.
         db, query = scaling_hard_val_instance(6, seed=1)
-        assert resolve_valuation_method(db, query) == "dpdb"
+        assert planner.resolve("val", db, query) == "dpdb"
 
     def test_resolution_survives_astronomical_valuation_totals(self):
         # 5000 nulls of domain 10: the total has ~5000 decimal digits,
@@ -179,31 +174,31 @@ class TestDispatchParity:
         facts = [Fact("R", [Null(i)]) for i in range(5000)]
         db = IncompleteDatabase(facts, uniform_domain=domain)
         query = BCQ([Atom("R", ["x"])])
-        assert resolve_valuation_method(db, query, "lineage") == "lineage"
-        plan = plan_valuations(db, query)
+        assert planner.resolve("val", db, query, "lineage") == "lineage"
+        plan = planner.plan("val", db, query)
         assert plan.chosen is not None
 
     def test_poly_raises_through_resolve(self):
         db, query = scaling_hard_val_instance(6, seed=1)
         with pytest.raises(NoPolynomialAlgorithm):
-            resolve_valuation_method(db, query, "poly")
+            planner.resolve("val", db, query, "poly")
         with pytest.raises(NoPolynomialAlgorithm):
-            resolve_completion_method(db, query, "poly")
+            planner.resolve("comp", db, query, "poly")
 
     def test_completion_auto(self):
-        assert resolve_completion_method(_uniform_unary_db(), None) == (
+        assert planner.resolve("comp", _uniform_unary_db(), None) == (
             "uniform-unary"
         )
         # The completion encoding's projection-constrained width is large
         # on this family, so #Comp stays with the trail search.
         db, query = scaling_hard_val_instance(6, seed=1)
-        assert resolve_completion_method(db, query) == "lineage"
+        assert planner.resolve("comp", db, query) == "lineage"
 
     def test_weighted_resolution(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        assert resolve_weighted_method(db, query) == "circuit"
+        assert planner.resolve("val-weighted", db, query) == "circuit"
         opaque = CustomQuery("nonempty", ["R"], lambda database: True)
-        assert resolve_weighted_method(db, opaque, "circuit") == "brute"
+        assert planner.resolve("val-weighted", db, opaque, "circuit") == "brute"
 
     def test_counts_agree_across_registry_methods(self):
         db, query = scaling_hard_val_instance(6, seed=1)
@@ -235,10 +230,10 @@ class TestDispatchParity:
                 supports_marginals=False,
                 applies=lambda d, q: (True, "always (test)"),
                 cost=lambda d, q: 0.5,
-                run=lambda d, q, budget=None, weights=None: 42,
+                run=lambda d, q, budget=None, weights=None, circuits=None: 42,
             ))
-            assert resolve_valuation_method(db, query) == name
+            assert planner.resolve("val", db, query) == name
             assert count_valuations(db, query) == 42
         finally:
             del planner._REGISTRY["val"][name]
-        assert resolve_valuation_method(db, query) == "dpdb"
+        assert planner.resolve("val", db, query) == "dpdb"

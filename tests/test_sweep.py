@@ -24,14 +24,14 @@ from repro.engine.jsonl import (
     read_results,
     write_results,
 )
+from repro.exact import planner
 from repro.exact.dispatch import (
     Answer,
     count_completions,
     count_valuations,
     count_valuations_sweep,
     count_valuations_weighted,
-    plan_sweep,
-    resolve_sweep_method,
+    plan,
     solve,
 )
 from repro.io.databases import parse_database
@@ -241,7 +241,7 @@ class TestSolveFacade:
     def test_sweep_single_occurrence_cell(self):
         db = parse_database("domain a b c\nR(?n1, a)\nS(?n2)")
         query = parse_query("R(x, y), S(z)")
-        assert resolve_sweep_method(db, query, "auto") == "single-occurrence"
+        assert planner.resolve("sweep", db, query, "auto") == "single-occurrence"
         rows = [
             None,
             {
@@ -264,7 +264,7 @@ class TestSolveFacade:
 
     def test_plan_sweep_reports_problem(self):
         db, query = _random_instance(1)
-        built = plan_sweep(db, query)
+        built = plan("sweep", db, query)
         assert built.problem == "sweep"
         assert built.chosen is not None
 
@@ -290,7 +290,7 @@ class TestEngineSweepJobs:
         twin = CountJob("sweep", db, query, weights=list(rows), label="b")
         assert fingerprint_job(job) == fingerprint_job(twin)
         assert needs_circuit(job) == (
-            resolve_sweep_method(db, query, "auto") == "circuit"
+            planner.resolve("sweep", db, query, "auto") == "circuit"
         )
         result = execute_job(job)
         assert result.ok
