@@ -29,6 +29,9 @@ Runs one fixed workload per tracked hot path —
   (:mod:`repro.compile.dpdb`) head-to-head against the trail core on the
   width-bounded grid/long-cycle hard-cell workloads, answers asserted
   bit-identical and the DP-over-search speedup recorded;
+* ``dpdb_mid_width`` the same head-to-head on width 14–16 cells (a 4×12
+  grid and a chorded cycle), the band where ``auto`` picks the DP
+  over the trail search;
 * ``circuit_batch`` a batch of *distinct* circuit-backed jobs
   (``val-weighted``, ``marginals``, ``method='circuit'``): the engine —
   persistent warmed pool, worker-compiled artifacts installed into the
@@ -108,7 +111,7 @@ from repro.workloads.generators import (
 TRACKED_PATHS = (
     "hom", "sharpsat", "sharpsat_core", "fpras", "amortized",
     "amortized_vectorized", "incremental", "batch_engine", "circuit_batch",
-    "dpdb",
+    "dpdb", "dpdb_mid_width",
 )
 
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_engine.json")
@@ -498,7 +501,26 @@ def path_dpdb(quick: bool) -> dict:
     else:
         grid = scaling_grid_val_instance(3, 20, num_colors=3)
         cycle = scaling_long_cycle_val_instance(160, 1, num_colors=3)
-    instances = [("grid", *grid), ("long-cycle", *cycle)]
+    return _dpdb_against_trail([("grid", *grid), ("long-cycle", *cycle)])
+
+
+def path_dpdb_mid_width(quick: bool) -> dict:
+    """Tree-decomposition DP vs the trail core at widths 14–16.
+
+    A 4×12 grid colouring (width 14) and a chorded 28-cycle (width 16):
+    the cells just under the planner's width limit, where the tensor
+    kernel's ``2^16``-cell tables must still undercut the search.  Same
+    protocol as :func:`path_dpdb`, on one fixed pair in both modes.
+    """
+    return _dpdb_against_trail([
+        ("grid-4x12", *scaling_grid_val_instance(4, 12, num_colors=3)),
+        ("chorded-28", *scaling_hard_val_instance(28, 3, 0.03, 32)),
+    ])
+
+
+def _dpdb_against_trail(instances: list) -> dict:
+    """Best-of timing of the dpdb front door over ``(shape, db, query)``
+    instances, against the trail core, answers asserted bit-identical."""
     probe_cache_clear()
 
     def run_dpdb():
@@ -996,6 +1018,7 @@ def main(argv: list[str] | None = None) -> int:
         "batch_engine": lambda: path_batch_engine(args.quick, args.workers),
         "circuit_batch": lambda: path_circuit_batch(args.quick, args.workers),
         "dpdb": lambda: path_dpdb(args.quick),
+        "dpdb_mid_width": lambda: path_dpdb_mid_width(args.quick),
     }
     try:
         for name in TRACKED_PATHS:
@@ -1075,15 +1098,17 @@ def main(argv: list[str] | None = None) -> int:
             circuit_detail["speedup"],
         )
     )
-    dpdb_detail = paths["dpdb"]["detail"]
-    print(
-        "dpdb: widths %s on %s, DP %.2fx faster than the trail core"
-        % (
-            dpdb_detail["widths"],
-            "/".join(dpdb_detail["instances"]),
-            dpdb_detail["speedup"],
+    for name in ("dpdb", "dpdb_mid_width"):
+        dpdb_detail = paths[name]["detail"]
+        print(
+            "%s: widths %s on %s, DP %.2fx faster than the trail core"
+            % (
+                name,
+                dpdb_detail["widths"],
+                "/".join(dpdb_detail["instances"]),
+                dpdb_detail["speedup"],
+            )
         )
-    )
 
     report = {
         "meta": {

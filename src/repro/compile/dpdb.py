@@ -21,6 +21,18 @@ one per assignment of its bag:
   the two polarities by the variable's ``(w⁺, w⁻)`` pair, and pass the
   result up as this node's message.
 
+**The kernel.**  With numpy each table is an n-d tensor of shape
+``(2,)*|bag|``, one axis per bag variable in ascending order.  A child
+separator is an ordered subset of the parent bag, so a *join* is one
+in-place broadcast multiply of the table by the message reshaped to
+size 2 on the separator's axes and 1 elsewhere; a *clause* zeroes its
+single falsifying sub-block (each of its variables pinned to the value
+that falsifies its literal) with one slice assignment, and a clause
+holding both ``v`` and ``¬v`` is skipped; a *forget* is
+``w⁻·t[..., 0, ...] + w⁺·t[..., 1, ...]`` along the eliminated axis.
+Every step runs in numpy's C loops over whole tensors, with no index
+arithmetic per cell.
+
 Every root's message is a scalar; the model count is the product of the
 root scalars times a free factor ``w⁺+w⁻`` per variable in no clause —
 the same per-variable weight-table convention as
@@ -41,13 +53,13 @@ projected assignments* — the projected model count, bit-identical to the
 trail core's.  (Projected counting is unweighted; mixing ``weights`` and
 ``projection`` is rejected.)
 
-**Table dtypes.**  With numpy present, tables are int64 columns when a
+**Table dtypes.**  With numpy present, tables are int64 tensors when a
 magnitude sweep proves no intermediate can overflow — first a cheap
-product bound, then (mirroring PR 7's ``evaluate_many`` gating) a float64
-*guard pass* that runs the very same DP on clamped magnitudes and checks
-the running maximum against ``2^61`` — and exact Python-int/Fraction
-object columns otherwise.  Without numpy a scalar fallback runs the same
-recurrences over plain lists.
+product bound, then (mirroring the circuit's ``evaluate_many`` gating) a
+float64 *guard pass* that runs the very same DP on clamped magnitudes
+and checks the running maximum against ``2^61`` — and exact
+Python-int/Fraction object tensors otherwise.  Without numpy a scalar
+fallback runs the same recurrences over plain lists.
 
 The planner talks to this module through :func:`dpdb_probe` — called
 only when a plan prices ``dpdb`` (never once a closed form applies) — a
@@ -92,8 +104,9 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 #: Planner preference threshold: at or below this width the DP is treated
 #: as the cheap method for a hard cell (tables of at most
-#: ``2^(limit+1)`` cells per node).
-DPDB_WIDTH_LIMIT = 12
+#: ``2^(limit+1)`` cells per node).  Width-17 tables still beat the
+#: search, but they raise peak memory by more than a tenth.
+DPDB_WIDTH_LIMIT = 16
 
 #: Hard safety cap for *forced* ``method='dpdb'``: above this width a
 #: single table would exceed half a million cells, so the runner
@@ -172,6 +185,7 @@ def count_models_dpdb(
         nodes=len(decomposition),
         width=decomposition.width,
         max_bag=decomposition.max_bag,
+        cells=_table_cells(decomposition.bags),
         projected=projected,
     ):
         path, factors, rows = _solve(
@@ -195,6 +209,11 @@ def count_models_dpdb(
         stats["path"] = path
         stats["rows"] = rows
     return result
+
+
+def _table_cells(bags: Iterable[int]) -> int:
+    """The DP's exact work: one ``2^|bag|`` table per node."""
+    return sum(1 << bag.bit_count() for bag in bags)
 
 
 def _free_mask(decomposition: Decomposition) -> int:
@@ -251,21 +270,28 @@ def _solve(
     # The cheap bound failed: run the float64 guard pass — the same DP on
     # clamped magnitudes — and trust int64 only if its running maximum
     # stays clear of overflow (NaN/inf compare False and land on object).
+    # The int64 pass also multiplies by the weights themselves, which the
+    # guard cannot see behind all-zero tables, so each must fit too.
     magnitude_pos = [value if value >= 0 else -value for value in positive]
     magnitude_neg = [value if value >= 0 else -value for value in negative]
-    _, _, seen = _run_numpy(
-        decomposition,
-        magnitude_pos,
-        magnitude_neg,
-        projected,
-        dtype=_np.float64,
-        track_max=True,
+    widest = max(
+        max(magnitude_pos[variable], magnitude_neg[variable])
+        for variable in decomposition.order
     )
-    if seen < _INT64_GUARD:
-        factors, rows, _ = _run_numpy(
-            decomposition, positive, negative, projected, dtype=_np.int64
+    if widest < _INT64_SAFE:
+        _, _, seen = _run_numpy(
+            decomposition,
+            magnitude_pos,
+            magnitude_neg,
+            projected,
+            dtype=_np.float64,
+            track_max=True,
         )
-        return "int64+guard", [int(factor) for factor in factors], rows
+        if seen < _INT64_GUARD:
+            factors, rows, _ = _run_numpy(
+                decomposition, positive, negative, projected, dtype=_np.int64
+            )
+            return "int64+guard", [int(factor) for factor in factors], rows
     factors, rows, _ = _run_numpy(
         decomposition, positive, negative, projected, dtype=object
     )
@@ -322,11 +348,15 @@ def _run_numpy(
     dtype: Any,
     track_max: bool = False,
 ) -> tuple[list[Any], int, float]:
-    """One DP pass with dense numpy tables of the given dtype.
+    """One DP pass with one n-d numpy tensor per node.
 
-    Every dtype runs the identical operation sequence, so the float64
-    guard pass majorizes each intermediate of the int64 pass cell for
-    cell.  Returns ``(root_factors, cells_processed, running_max)``.
+    A node's table has shape ``(2,)*|bag|``, one axis per bag variable in
+    ascending order; a child's message has one axis per separator
+    variable, also ascending, so it broadcasts against the parent table
+    after a reshape.  Every dtype runs the identical operation sequence,
+    so the float64 guard pass majorizes each intermediate of the int64
+    pass cell for cell.  Returns ``(root_factors, cells_processed,
+    running_max)``.
     """
     np = _np
     assert np is not None
@@ -338,62 +368,63 @@ def _run_numpy(
     for node in range(len(decomposition)):
         bag_vars = list(_bits(decomposition.bags[node]))
         width = len(bag_vars)
-        at = {variable: bit for bit, variable in enumerate(bag_vars)}
+        axis = {variable: index for index, variable in enumerate(bag_vars)}
         size = 1 << width
-        table = np.ones(size, dtype=dtype)
-        index = None
+        table = None
 
         for child in decomposition.children[node]:
-            message = messages[child]
+            separator = decomposition.separator(child)
+            aligned = messages[child].reshape(
+                [2 if (separator >> variable) & 1 else 1 for variable in bag_vars]
+            )
             messages[child] = None
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            selector = np.zeros(size, dtype=np.int64)
-            for bit, variable in enumerate(
-                _bits(decomposition.separator(child))
-            ):
-                selector |= ((index >> at[variable]) & 1) << bit
-            table = table * message[selector]
+            if table is None:
+                # 1 * message: the first join is a broadcast copy.
+                table = np.empty((2,) * width, dtype=dtype)
+                table[...] = aligned
+            else:
+                np.multiply(table, aligned, out=table)
             rows += size
             if track_max:
                 seen = max(seen, float(table.max()))
+        if table is None:
+            table = np.ones((2,) * width, dtype=dtype)
 
         for clause in decomposition.node_clauses[node]:
-            pos_mask = 0
-            neg_mask = 0
+            # The falsifying assignments form one sub-block: each clause
+            # variable pinned to the value that falsifies its literal.
+            falsifying: list[Any] = [slice(None)] * width
             for literal in clause:
-                if literal > 0:
-                    pos_mask |= 1 << at[literal]
-                else:
-                    neg_mask |= 1 << at[-literal]
-            if index is None:
-                index = np.arange(size, dtype=np.int64)
-            violated = ((index & pos_mask) == 0) & (
-                (index & neg_mask) == neg_mask
-            )
-            table = np.where(violated, _zero_of(dtype), table)
+                at = axis[abs(literal)]
+                value = 0 if literal > 0 else 1
+                if falsifying[at] == 1 - value:  # v and ¬v: a tautology
+                    break
+                falsifying[at] = value
+            else:
+                table[tuple(falsifying)] = 0
             rows += size
 
         eliminated = decomposition.order[node]
-        bit = at[eliminated]
-        split = table.reshape(1 << (width - 1 - bit), 2, 1 << bit)
-        message = (
-            negative[eliminated] * split[:, 0, :]
-            + positive[eliminated] * split[:, 1, :]
-        ).reshape(-1)
+        lead = (slice(None),) * axis[eliminated]
+        # The trailing Ellipsis keeps a 1-d table's halves 0-d arrays.
+        low = table[lead + (0, Ellipsis)]
+        high = table[lead + (1, Ellipsis)]
+        w_pos, w_neg = positive[eliminated], negative[eliminated]
+        if w_pos == 1 and w_neg == 1:
+            message = low + high
+        else:
+            message = w_neg * low + w_pos * high
+        # 0-d arithmetic returns a bare scalar; keep an array of the dtype.
+        message = np.asarray(message, dtype=dtype)
         if track_max:
             seen = max(seen, float(message.max()))
         if _clamp_message(decomposition, node, projected):
             message = _indicator(message, dtype)
         if decomposition.parent[node] < 0:
-            factors.append(message[0])
+            factors.append(message[()])
         else:
             messages[node] = message
     return factors, rows, seen
-
-
-def _zero_of(dtype: Any) -> Any:
-    return 0 if dtype is object else dtype(0)
 
 
 def _indicator(message: Any, dtype: Any) -> Any:
@@ -508,6 +539,7 @@ class DpdbProbe:
         }
         if self.width is not None:
             payload["width"] = self.width
+            payload["cells"] = _table_cells(self.bags)
         return payload
 
 

@@ -187,7 +187,7 @@ class Considered:
     polynomial: bool
     supports_weights: bool
     supports_marginals: bool
-    #: Structured cost detail (e.g. ``{"width": 8, "width_limit": 12}``
+    #: Structured cost detail (e.g. ``{"width": 8, "width_limit": 16}``
     #: from the dpdb probe); ``None`` for methods without a detail hook.
     detail: Mapping[str, Any] | None = None
 
@@ -352,6 +352,11 @@ def plan(
             item.method: item.cost
             for item in considered
             if item.cost is not None
+        },
+        details={
+            item.method: dict(item.detail)
+            for item in considered
+            if item.detail is not None
         },
         unevaluated=[
             entry.name for entry in entries if entry.name not in verdicts
@@ -723,12 +728,16 @@ def _search_cost(tier: float) -> Cost:
 
 
 def _dpdb_cost(kind: str) -> Cost:
-    """Width-driven estimate: below the width limit the DP undercuts the
-    trail search (:data:`TIER_DPDB` < :data:`TIER_LINEAGE`); at high width
-    or a blown probe budget it lands strictly *between* lineage and
-    circuit (``TIER_LINEAGE + 0.5 + frac/2`` with ``frac < 1``), so
-    ``auto`` keeps preferring the trail core without dpdb ever looking
-    cheaper than the method it would delegate to."""
+    """Width-driven estimate: at or below :data:`DPDB_WIDTH_LIMIT` (16)
+    the DP undercuts the trail search (:data:`TIER_DPDB` <
+    :data:`TIER_LINEAGE`) — the tensor kernel fills a width-16 table set
+    faster than the search counts a hard cell of that width, and the
+    limit stops at 16 for peak memory, not time; at higher width or a
+    blown probe budget the estimate
+    lands strictly *between* lineage and circuit (``TIER_LINEAGE + 0.5 +
+    frac/2`` with ``frac < 1``), so ``auto`` keeps preferring the trail
+    core without dpdb ever looking cheaper than the method it would
+    delegate to."""
 
     def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
         probe = dpdb_probe(kind, db, query)

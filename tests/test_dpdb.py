@@ -8,6 +8,9 @@ Three layers of coverage for ``method='dpdb'``:
 * directed structure — the decomposition's join/introduce/forget shape,
   bag invariants, the numpy/object-table boundary and the no-numpy
   scalar fallback;
+* the tensor kernel — the n-d numpy kernel against the scalar kernel and
+  brute enumeration on every dtype path and on the clause shapes only a
+  hand-built decomposition can reach;
 * the planner seam — the width probe, the width-threshold fallback, and
   the width detail surfaced in plans.
 """
@@ -23,7 +26,7 @@ from repro.compile.backend import (
     count_completions_lineage,
     count_valuations_lineage,
 )
-from repro.compile.decompose import decompose
+from repro.compile.decompose import Decomposition, decompose
 from repro.compile.dpdb import (
     DPDB_HARD_WIDTH_CAP,
     DPDB_WIDTH_LIMIT,
@@ -42,7 +45,8 @@ from repro.db.fact import Fact
 from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.planner import plan
-from repro.obs import capture
+from repro.obs import add_sink, capture, remove_sink
+from repro import solve
 from repro.workloads.generators import (
     random_incomplete_db,
     scaling_block_comp_instance,
@@ -269,6 +273,164 @@ class TestTableDtypes:
             )
 
 
+def _with_raw_clauses(cnf, raw_clauses, rng):
+    """``cnf``'s decomposition with clause shapes ``CNF`` normalizes away.
+
+    Each home-bag clause is replaced by the raw clause it came from (so
+    duplicate literals survive), and every node gains a tautology over
+    its bag — the kernel must skip those and collapse the duplicates.
+    """
+    decomposition = decompose(cnf)
+    raw_of = {}
+    for raw in raw_clauses:
+        raw_of.setdefault(tuple(sorted(set(raw), key=abs)), raw)
+    node_clauses = []
+    for node, clauses in enumerate(decomposition.node_clauses):
+        bag_vars = [
+            v for v in range(1, cnf.num_variables + 1)
+            if (decomposition.bags[node] >> v) & 1
+        ]
+        pivot = rng.choice(bag_vars)
+        other = rng.choice(bag_vars)
+        node_clauses.append(
+            [raw_of[clause] for clause in clauses]
+            + [(pivot, -pivot), (other, pivot, other, -pivot)]
+        )
+    return Decomposition(
+        num_variables=decomposition.num_variables,
+        order=decomposition.order,
+        bags=decomposition.bags,
+        parent=decomposition.parent,
+        children=decomposition.children,
+        roots=decomposition.roots,
+        width=decomposition.width,
+        node_clauses=node_clauses,
+        free_variables=decomposition.free_variables,
+    )
+
+
+@pytest.mark.skipif(dpdb_module._np is None, reason="numpy unavailable")
+class TestTensorKernel:
+    """The n-d tensor kernel == the scalar kernel == brute enumeration."""
+
+    @staticmethod
+    def _kernels(monkeypatch, cnf, **kwargs):
+        """``(tensor, scalar, tensor_path)`` for one count."""
+        stats = {}
+        tensor = count_models_dpdb(cnf, stats=stats, **kwargs)
+        with monkeypatch.context() as patched:
+            patched.setattr(dpdb_module, "_np", None)
+            scalar = count_models_dpdb(cnf, **kwargs)
+        return tensor, scalar, stats["path"]
+
+    def test_projected_counts(self, monkeypatch):
+        rng = random.Random(1409)
+        for _ in range(60):
+            cnf = _random_cnf(rng)
+            projection = frozenset(
+                rng.sample(
+                    range(1, cnf.num_variables + 1),
+                    rng.randint(0, cnf.num_variables),
+                )
+            )
+            tensor, scalar, path = self._kernels(
+                monkeypatch, cnf, projection=projection
+            )
+            assert path == "int64"
+            assert tensor == scalar == count_models_brute(cnf, projection)
+
+    def test_negative_int_weights(self, monkeypatch):
+        rng = random.Random(1410)
+        for _ in range(40):
+            cnf = _random_cnf(rng)
+            weights = {
+                v: (rng.randint(-4, 5), rng.randint(-4, 5))
+                for v in range(1, cnf.num_variables + 1)
+                if rng.random() < 0.8
+            }
+            tensor, scalar, path = self._kernels(
+                monkeypatch, cnf, weights=weights
+            )
+            assert path == "int64"
+            assert tensor == scalar == _weighted_brute(cnf, weights)
+
+    def test_fraction_weights(self, monkeypatch):
+        rng = random.Random(1411)
+        for _ in range(40):
+            cnf = _random_cnf(rng)
+            weights = {
+                v: (
+                    Fraction(rng.randint(-3, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-3, 5), rng.randint(1, 4)),
+                )
+                for v in range(1, cnf.num_variables + 1)
+                if rng.random() < 0.6
+            }
+            if not weights:
+                continue
+            tensor, scalar, path = self._kernels(
+                monkeypatch, cnf, weights=weights
+            )
+            assert path == "object"
+            assert tensor == scalar == _weighted_brute(cnf, weights)
+
+    def test_weights_above_int64(self, monkeypatch):
+        rng = random.Random(1412)
+        for _ in range(30):
+            cnf = _random_cnf(rng)
+            weights = {
+                v: (rng.randint(1 << 62, 1 << 70), rng.randint(-(1 << 64), 7))
+                for v in range(1, cnf.num_variables + 1)
+            }
+            tensor, scalar, path = self._kernels(
+                monkeypatch, cnf, weights=weights
+            )
+            if any(cnf.clauses):
+                assert path == "object+guard"
+            assert tensor == scalar == _weighted_brute(cnf, weights)
+
+    def test_tautological_and_duplicate_literal_clauses(self, monkeypatch):
+        rng = random.Random(1413)
+        for _ in range(40):
+            num_variables = rng.randint(2, 9)
+            raw_clauses = []
+            for _ in range(rng.randint(1, 12)):
+                chosen = rng.sample(
+                    range(1, num_variables + 1),
+                    rng.randint(1, min(3, num_variables)),
+                )
+                literals = [v if rng.random() < 0.5 else -v for v in chosen]
+                raw_clauses.append(tuple(literals + literals[:1]))
+            cnf = CNF(num_variables, raw_clauses)
+            decomposition = _with_raw_clauses(cnf, raw_clauses, rng)
+            tensor, scalar, path = self._kernels(
+                monkeypatch, cnf, decomposition=decomposition
+            )
+            assert path == "int64"
+            assert tensor == scalar == count_models_brute(cnf)
+
+    def test_single_variable_roots(self, monkeypatch):
+        # Variables 1 and 2 sit alone in their components: each is a
+        # one-axis root table whose message is 0-d.  Variable 3's
+        # Fraction weight puts every table on the object path, where the
+        # unit-weight forget of a 0-d pair returns a bare Python int.
+        cnf = CNF(5, [(1,), (-2,), (3, 4), (-4, 5)])
+        weights = {3: (Fraction(1, 3), Fraction(5, 2))}
+        tensor, scalar, path = self._kernels(monkeypatch, cnf, weights=weights)
+        assert path == "object"
+        assert tensor == scalar == _weighted_brute(cnf, weights)
+        big = {1: (1 << 70, 1), 2: (3, 1 << 66)}
+        tensor, scalar, path = self._kernels(monkeypatch, cnf, weights=big)
+        assert path == "object+guard"
+        assert tensor == scalar == _weighted_brute(cnf, big)
+        # Projected: the auxiliary root 1 is clamped as a 0-d message.
+        tensor, scalar, path = self._kernels(
+            monkeypatch, cnf, projection=(2, 3, 5)
+        )
+        assert path == "int64"
+        assert tensor == scalar == count_models_brute(cnf, (2, 3, 5))
+
+
 class TestDecompositionStructure:
     """Directed checks of bags, parents, clause homes, and node kinds."""
 
@@ -367,6 +529,34 @@ class TestWidthProbe:
         assert detail["width"] == first.width
         assert detail["width_limit"] == DPDB_WIDTH_LIMIT
 
+    def test_probe_decision_and_tables_span_report_the_dp_cells(self):
+        probe_cache_clear()
+        db, query = scaling_grid_val_instance(3, 5)
+        probe = dpdb_probe("val", db, query)
+        cells = sum(1 << bag.bit_count() for bag in probe.bags)
+        assert probe.detail()["cells"] == cells
+        decisions = []
+
+        def sink(record):
+            if record.get("name") == "planner.decision":
+                decisions.append(record)
+
+        add_sink(sink)
+        try:
+            plan("val", db, query, "auto")
+        finally:
+            remove_sink(sink)
+        assert [d["details"]["dpdb"]["cells"] for d in decisions] == [cells]
+        with capture() as captured:
+            count_valuations_dpdb(db, query)
+        tables = [
+            node
+            for root in captured.roots
+            for node, _depth in root.walk()
+            if node.name == "dpdb.tables"
+        ]
+        assert [node.fields["cells"] for node in tables] == [cells]
+
     def test_probe_budget_overrun_reports_itself(self):
         domain = ["a", "b"]
         facts = [Fact("R", [Null(i)]) for i in range(2_100)]
@@ -405,6 +595,18 @@ class TestWidthThresholdFallback:
         assert dpdb_row.cost > 10.0  # costed above the lineage tier
         assert dpdb_row.detail["width"] > DPDB_WIDTH_LIMIT
 
+    def test_auto_picks_dpdb_on_a_mid_width_hard_cell(self):
+        db, query = scaling_grid_val_instance(4, 12, 3)
+        built = plan("val", db, query, "auto")
+        dpdb_row = next(
+            item for item in built.considered if item.method == "dpdb"
+        )
+        assert dpdb_row.detail["width"] == 14
+        assert built.chosen == "dpdb"
+        answer = solve("val", db, query)
+        assert answer.method == "dpdb"
+        assert answer.count == count_valuations_lineage(db, query)
+
     def test_forced_dpdb_above_the_cap_still_answers_correctly(self):
         db, query = scaling_hard_comp_instance(20)
         built = plan("comp", db, query, "dpdb")
@@ -420,3 +622,4 @@ class TestWidthThresholdFallback:
             item for item in record["considered"] if item["method"] == "dpdb"
         )
         assert row["detail"]["width"] <= row["detail"]["width_limit"]
+        assert row["detail"]["cells"] >= 2 << row["detail"]["width"]
