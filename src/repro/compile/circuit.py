@@ -52,7 +52,10 @@ this layout directly while the search runs, and the binary codec
 (:mod:`repro.compile.serialize`) parses straight into it, so rehydrated
 artifacts never materialize an intermediate node-tuple forest.
 
-All arithmetic is exact for int/Fraction weights.
+All arithmetic is exact for int/Fraction weights.  The batched ``*_many``
+passes use numpy when it is installed, imported on their first call
+(:func:`repro.util.optional.numpy_or_none`); without it they loop the
+scalar passes.
 """
 
 from __future__ import annotations
@@ -63,11 +66,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.obs import span as _span
-
-try:  # numpy accelerates the batched passes; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None  # type: ignore[assignment]
+from repro.util.optional import numpy_or_none
 
 #: Largest clamped-magnitude bound for which int64 columns cannot overflow.
 _INT64_SAFE = 1 << 62
@@ -609,19 +608,20 @@ class DDNNF:
         """The weight columns as numpy arrays of the exactness-safe dtype:
         int64 when every weight is a machine int and the magnitude bound
         proves no intermediate can overflow, else exact object columns."""
+        np = numpy_or_none()
         dtype: object = object
         if all_int and self._magnitude_bound(positive, negative) < _INT64_SAFE:
-            dtype = _np.int64
+            dtype = np.int64
         return (
-            _np.array(positive, dtype=dtype),
-            _np.array(negative, dtype=dtype),
-            _np.array(free_sum, dtype=dtype),
+            np.array(positive, dtype=dtype),
+            np.array(negative, dtype=dtype),
+            np.array(free_sum, dtype=dtype),
         )
 
     def _values_many(self, pos, neg, free) -> list:
         """Length-N value column of every node, children-first: the
         upward pass with each scalar replaced by a numpy column."""
-        np = _np
+        np = numpy_or_none()
         n = pos.shape[1]
         code = self._code
         zeros = np.zeros(n, dtype=pos.dtype)
@@ -681,7 +681,7 @@ class DDNNF:
             nodes=len(self._offsets),
             rows=len(rows),
         ):
-            if _np is None:
+            if numpy_or_none() is None:
                 return [self.evaluate(row) for row in rows]
             columns = self._weight_columns(rows)
             values = self._values_many(*self._column_arrays(*columns))
@@ -704,7 +704,7 @@ class DDNNF:
             nodes=len(self._offsets),
             rows=len(rows),
         ):
-            if _np is None:
+            if numpy_or_none() is None:
                 return [self.literal_counts(row) for row in rows]
             return self._literal_counts_many_pass(rows)
 
@@ -715,7 +715,7 @@ class DDNNF:
         code = self._code
         offsets = self._offsets
         is_countable = self._is_countable
-        ones = _np.zeros(n, dtype=pos.dtype) + 1
+        ones = numpy_or_none().zeros(n, dtype=pos.dtype) + 1
         # None marks an all-zero column nobody has touched yet: untouched
         # nodes are skipped exactly like the scalar pass's zero check.
         derivative: list = [None] * len(offsets)

@@ -59,7 +59,9 @@ product bound, then (mirroring the circuit's ``evaluate_many`` gating) a
 float64 *guard pass* that runs the very same DP on clamped magnitudes
 and checks the running maximum against ``2^61`` — and exact
 Python-int/Fraction object tensors otherwise.  Without numpy a scalar
-fallback runs the same recurrences over plain lists.
+fallback runs the same recurrences over plain lists.  numpy is imported
+on the first DP pass (:func:`repro.util.optional.numpy_or_none`), never
+by the width probe, so planning a hard cell stays numpy-free.
 
 The planner talks to this module through :func:`dpdb_probe` — called
 only when a plan prices ``dpdb`` (never once a closed form applies) — a
@@ -96,11 +98,7 @@ from repro.obs import (
     observe as _observe,
     span as _span,
 )
-
-try:  # numpy is optional at runtime; the scalar fallback keeps results exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None  # type: ignore[assignment]
+from repro.util.optional import numpy_or_none
 
 #: Planner preference threshold: at or below this width the DP is treated
 #: as the cheap method for a hard cell (tables of at most
@@ -254,7 +252,8 @@ def _solve(
     projected: bool,
 ) -> tuple[str, list[Any], int]:
     """Pick the table dtype, run the pass(es), return root factors."""
-    if _np is None:
+    np = numpy_or_none()
+    if np is None:
         factors, rows = _run_python(decomposition, positive, negative, projected)
         return "python", factors, rows
     if not all_int:
@@ -264,7 +263,7 @@ def _solve(
         return "object", factors, rows
     if _product_bound(decomposition, positive, negative) < _INT64_SAFE:
         factors, rows, _ = _run_numpy(
-            decomposition, positive, negative, projected, dtype=_np.int64
+            decomposition, positive, negative, projected, dtype=np.int64
         )
         return "int64", [int(factor) for factor in factors], rows
     # The cheap bound failed: run the float64 guard pass — the same DP on
@@ -284,12 +283,12 @@ def _solve(
             magnitude_pos,
             magnitude_neg,
             projected,
-            dtype=_np.float64,
+            dtype=np.float64,
             track_max=True,
         )
         if seen < _INT64_GUARD:
             factors, rows, _ = _run_numpy(
-                decomposition, positive, negative, projected, dtype=_np.int64
+                decomposition, positive, negative, projected, dtype=np.int64
             )
             return "int64+guard", [int(factor) for factor in factors], rows
     factors, rows, _ = _run_numpy(
@@ -358,8 +357,7 @@ def _run_numpy(
     pass cell for cell.  Returns ``(root_factors, cells_processed,
     running_max)``.
     """
-    np = _np
-    assert np is not None
+    np = numpy_or_none()
     messages: list[Any] = [None] * len(decomposition)
     factors: list[Any] = []
     rows = 0
@@ -430,8 +428,7 @@ def _run_numpy(
 def _indicator(message: Any, dtype: Any) -> Any:
     """``[x > 0]`` per cell, staying in the table dtype (Python ints for
     object tables, so no int64 can sneak into an exact pass)."""
-    np = _np
-    assert np is not None
+    np = numpy_or_none()
     if dtype is object:
         clamped = np.zeros(message.shape, dtype=object)
         clamped[message > 0] = 1

@@ -46,6 +46,7 @@ from repro.db.incomplete import IncompleteDatabase
 from repro.db.terms import Null
 from repro.exact.planner import plan
 from repro.obs import add_sink, capture, remove_sink
+from repro.util.optional import numpy_or_none
 from repro import solve
 from repro.workloads.generators import (
     random_incomplete_db,
@@ -212,13 +213,13 @@ class TestTableDtypes:
     def test_small_int_counts_take_the_int64_path(self):
         stats = {}
         count_models_dpdb(CNF(4, [(1, 2), (-2, 3)]), stats=stats)
-        if dpdb_module._np is None:  # pragma: no cover - no-numpy machines
+        if numpy_or_none() is None:  # pragma: no cover - no-numpy machines
             assert stats["path"] == "python"
         else:
             assert stats["path"] == "int64"
 
     def test_huge_counts_cross_the_int64_boundary_exactly(self):
-        if dpdb_module._np is None:  # pragma: no cover
+        if numpy_or_none() is None:  # pragma: no cover
             pytest.skip("numpy unavailable")
         # 40 independent triangles: count 7^40 > 2^62, but every DP
         # intermediate is small — the guard pass proves int64 is safe and
@@ -232,7 +233,7 @@ class TestTableDtypes:
         assert stats["path"] == "int64+guard"
 
     def test_huge_weights_fall_back_to_object_tables(self):
-        if dpdb_module._np is None:  # pragma: no cover
+        if numpy_or_none() is None:  # pragma: no cover
             pytest.skip("numpy unavailable")
         cnf = CNF(4, [(1, 2), (3, 4)])
         big = 1 << 40
@@ -243,7 +244,7 @@ class TestTableDtypes:
         assert result == _weighted_brute(cnf, weights)
 
     def test_fraction_weights_take_the_object_path(self):
-        if dpdb_module._np is None:  # pragma: no cover
+        if numpy_or_none() is None:  # pragma: no cover
             pytest.skip("numpy unavailable")
         cnf = CNF(3, [(1, -2), (2, 3)])
         weights = {1: (Fraction(1, 3), Fraction(2, 3))}
@@ -253,7 +254,7 @@ class TestTableDtypes:
         assert result == _weighted_brute(cnf, weights)
 
     def test_python_fallback_runs_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(dpdb_module, "_np", None)
+        monkeypatch.setattr(dpdb_module, "numpy_or_none", lambda: None)
         rng = random.Random(99)
         for _ in range(25):
             cnf = _random_cnf(rng, max_variables=7, max_clauses=10)
@@ -309,7 +310,7 @@ def _with_raw_clauses(cnf, raw_clauses, rng):
     )
 
 
-@pytest.mark.skipif(dpdb_module._np is None, reason="numpy unavailable")
+@pytest.mark.skipif(numpy_or_none() is None, reason="numpy unavailable")
 class TestTensorKernel:
     """The n-d tensor kernel == the scalar kernel == brute enumeration."""
 
@@ -319,7 +320,7 @@ class TestTensorKernel:
         stats = {}
         tensor = count_models_dpdb(cnf, stats=stats, **kwargs)
         with monkeypatch.context() as patched:
-            patched.setattr(dpdb_module, "_np", None)
+            patched.setattr(dpdb_module, "numpy_or_none", lambda: None)
             scalar = count_models_dpdb(cnf, **kwargs)
         return tensor, scalar, stats["path"]
 

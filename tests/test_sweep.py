@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+import repro.compile.circuit as circuit_module
 from repro.compile.backend import CompletionCircuit, ValuationCircuit
+from repro.compile.circuit import DDNNF
 from repro.core.query import Atom, BCQ
 from repro.engine import BatchEngine, CountJob, execute_job, needs_circuit
 from repro.engine.fingerprint import fingerprint_job
@@ -150,6 +152,50 @@ class TestBatchedValuationPasses:
         compiled = ValuationCircuit(db, query)
         assert compiled.weighted_count_many([]) == []
         assert compiled.marginals_many([]) == []
+
+
+def _rows(db, make_value, count):
+    return [None] + [
+        {
+            null: {
+                value: make_value()
+                for value in sorted(db.domain_of(null), key=repr)
+            }
+            for null in db.nulls
+        }
+        for _ in range(count)
+    ]
+
+
+class TestBatchedPassesWithoutNumpy:
+    """The batched passes' no-numpy branch (loop the scalar pass per row)
+    equals the numpy columns exactly, for every weight kind."""
+
+    @pytest.mark.parametrize(
+        "make_value",
+        [
+            lambda rng: rng.randrange(1, 7),
+            lambda rng: rng.randrange(1, 10) << 70,
+            lambda rng: Fraction(rng.randrange(1, 9), rng.randrange(1, 7)),
+        ],
+        ids=["machine-int", "beyond-int64", "fraction"],
+    )
+    def test_scalar_branch_equals_numpy_columns(self, monkeypatch, make_value):
+        db, query = _random_instance(7)
+        compiled = ValuationCircuit(db, query)
+        rng = random.Random(7)
+        rows = _rows(db, lambda: make_value(rng), 6)
+        counts = compiled.weighted_count_many(rows)
+        marginals = compiled.marginals_many(rows)
+
+        def no_columns(*args):
+            raise AssertionError("the no-numpy branch built numpy columns")
+
+        monkeypatch.setattr(circuit_module, "numpy_or_none", lambda: None)
+        monkeypatch.setattr(DDNNF, "_column_arrays", no_columns)
+        assert compiled.weighted_count_many(rows) == counts
+        assert compiled.marginals_many(rows) == marginals
+        assert counts[0] == compiled.count()
 
 
 class TestBatchedCompletionPasses:
