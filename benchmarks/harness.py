@@ -4,14 +4,14 @@
 Runs one fixed workload per tracked hot path —
 
 * ``hom``          indexed homomorphism search (:mod:`repro.eval`);
-* ``sharpsat``     the exact model counter end to end — ordering heuristic,
-  preprocessing and search (:mod:`repro.compile.sharpsat`);
-* ``sharpsat_core`` the trail-based search core head-to-head against the
-  retained tuple-based reference counter
-  (:mod:`repro.compile.sharpsat_reference`) on search-heavy instances,
+* ``sharpsat_core`` the trail-based search core
+  (:mod:`repro.compile.sharpsat`) head-to-head against the retained
+  tuple-based reference counter (the test oracle
+  ``tests/support/sharpsat_reference.py``) on search-heavy instances,
   with a fixed precomputed branching order so the measurement isolates
-  the in-place propagation / bitset component machinery; reports
-  decisions per second and the before/after ratio;
+  the in-place propagation / bitset component machinery; counts are
+  asserted identical, and the path reports decisions per second and the
+  before/after ratio;
 * ``fpras``        Karp-Luby batch sample evaluation (:mod:`repro.approx`);
 * ``amortized``    the repeated-workload scenario: one instance asked for
   its uniform count, weighted count and all per-null marginals — the
@@ -35,17 +35,11 @@ Runs one fixed workload per tracked hot path —
 * ``circuit_batch`` a batch of *distinct* circuit-backed jobs
   (``val-weighted``, ``marginals``, ``method='circuit'``): the engine —
   persistent warmed pool, worker-compiled artifacts installed into the
-  parent's circuit store — measured against the path it replaced, the
-  serial-in-parent compile loop over the retained reference search core
-  (what every such job ran through before the artifact engine and the
-  trail rewrite).  Answers are asserted bit-identical.  The tracked
-  ``speedup`` therefore bundles worker parallelism *and* the core
-  rewrite; the detail also reports ``serial_same_core_seconds`` (the
-  engine against a same-core serial loop) so the two contributions stay
-  separable.  On a single-core runner the same-core comparison hovers
-  near 1.0× by construction — parallel workers cannot beat serial without
-  a second core — which is exactly why the tracked number is measured
-  against the replaced path —
+  parent's circuit store — measured against a serial in-parent engine
+  run over the same search core.  Answers are asserted bit-identical
+  across the engine, the worker-compile path and the serial loop.  On a
+  single-core runner the ``speedup`` hovers near 1.0× by construction —
+  parallel workers cannot beat serial without a second core —
 
 and writes machine-readable results (wall seconds, speedups, cache hit
 rate) to ``BENCH_engine.json``.  Wall times are also *normalized* by a
@@ -74,15 +68,13 @@ try:  # pragma: no cover - import side effect
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - running without PYTHONPATH=src
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The differential oracles live with the tests (``tests/support``).
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 
 import random
 
 from repro.approx.fpras import KarpLubyEstimator
-from repro.compile.backend import (
-    ValuationCircuit,
-    count_valuations_lineage,
-    valuation_marginals_recount,
-)
+from repro.compile.backend import ValuationCircuit, count_valuations_lineage
 from repro.compile.dpdb import (
     count_valuations_dpdb,
     dpdb_probe,
@@ -106,10 +98,12 @@ from repro.workloads.generators import (
     scaling_long_cycle_val_instance,
     scaling_uniform_val_instance,
 )
+from support.marginals_recount import valuation_marginals_recount
+from support.sharpsat_reference import ReferenceModelCounter
 
 #: Paths the CI gate tracks (keys of the emitted ``paths`` object).
 TRACKED_PATHS = (
-    "hom", "sharpsat", "sharpsat_core", "fpras", "amortized",
+    "hom", "sharpsat_core", "fpras", "amortized",
     "amortized_vectorized", "incremental", "batch_engine", "circuit_batch",
     "dpdb", "dpdb_mid_width",
 )
@@ -195,31 +189,6 @@ def path_hom(quick: bool) -> dict:
     }
 
 
-def path_sharpsat(quick: bool) -> dict:
-    """The exact counter's branch/propagate/decompose loop."""
-    size = 26 if quick else 32
-    db, query = scaling_hard_val_instance(
-        size, chord_probability=0.15, seed=2
-    )
-    encoding = compile_valuation_cnf(db, query)  # compilation not timed
-
-    def count_once():
-        return ModelCounter(encoding.cnf).count()
-
-    # The count is a few milliseconds now; extra repeats keep one noisy
-    # scheduler window on a shared runner from reading as a regression.
-    models, seconds = _best_of(count_once, repeats=7)
-    return {
-        "seconds": seconds,
-        "detail": {
-            "cycle_size": size,
-            "variables": encoding.cnf.num_variables,
-            "clauses": len(encoding.cnf),
-            "models": str(models),
-        },
-    }
-
-
 def path_sharpsat_core(quick: bool) -> dict:
     """Trail core vs the retained reference core, same orders, same CNFs.
 
@@ -259,7 +228,7 @@ def path_sharpsat_core(quick: bool) -> dict:
     def run_reference():
         total = 0
         for cnf, order in prepared:
-            total += ModelCounter(cnf, order=order, reference=True).count()
+            total += ReferenceModelCounter(cnf, order=order).count()
         return total
 
     # Symmetric best-of-5 on both cores: an asymmetric measurement would
@@ -654,8 +623,7 @@ def circuit_workload(quick: bool) -> list[CountJob]:
     no amortization to hide behind.  The instances are sparse and
     search-heavy (hundreds of decisions each): compile cost here *is*
     search cost, which is what the trail core attacks, and each job is
-    expensive enough (hundreds of milliseconds on the reference core)
-    that per-job dispatch overhead stays noise.
+    expensive enough that per-job dispatch overhead stays noise.
     """
     jobs: list[CountJob] = []
     specs = (
@@ -702,39 +670,19 @@ def circuit_workload(quick: bool) -> list[CountJob]:
     return jobs
 
 
-def _reference_circuit_answer(job: CountJob):
-    """One circuit job the pre-engine way: a fresh in-parent compile over
-    the retained reference search core, then the question's pass."""
-    from repro.compile.backend import CompletionCircuit, ValuationCircuit
-    from repro.engine.jobs import marginals_record
-
-    if job.problem == "comp":
-        return CompletionCircuit(job.db, job.query, reference=True).count()
-    compiled = ValuationCircuit(job.db, job.query, reference=True)
-    if job.problem == "val":
-        return compiled.count()
-    if job.problem == "val-weighted":
-        return compiled.weighted_count(job.weights)
-    assert job.problem == "marginals"
-    return marginals_record(compiled.marginals(job.weights))
-
-
 def path_circuit_batch(quick: bool, workers: int | None) -> dict:
-    """Distinct circuit jobs: the engine vs the loop it replaced.
+    """Distinct circuit jobs: the engine vs a serial in-parent loop.
 
-    The baseline answers every job the way such jobs ran before the
-    artifact engine and the trail rewrite: serially in the parent, one
-    fresh circuit compile per job, over the reference search core.  The
-    measured path is the production engine — a persistent pool, warmed
-    before timing (a batch engine is a long-lived component; process
-    startup amortizes across batches, so it does not belong to any one
-    batch's bill), worker compiles shipped home as serialized artifacts.
-    Answers are asserted identical.  On a machine whose pool sizes to a
-    single worker the timed engine runs in-parent; the worker-compile +
-    artifact-install path is then still driven (untimed, 2 workers) so
-    its bit-identical assertion never goes dark.  ``serial_same_core_seconds``
-    additionally records a same-core serial engine run, so the speedup
-    decomposes into its parallelism and core-rewrite parts.
+    The baseline answers every job serially in the parent
+    (``BatchEngine(workers=0)``), one fresh circuit compile per job, on
+    the same search core.  The measured path is the production engine — a
+    persistent pool, warmed before timing (a batch engine is a long-lived
+    component; process startup amortizes across batches, so it does not
+    belong to any one batch's bill), worker compiles shipped home as
+    serialized artifacts.  Answers are asserted identical.  On a machine
+    whose pool sizes to a single worker the timed engine runs in-parent;
+    the worker-compile + artifact-install path is then still driven
+    (untimed, 2 workers) so its bit-identical assertion never goes dark.
     """
     jobs = circuit_workload(quick)
     # One worker per CPU: the engine's own sizing rule.  Forcing a pool
@@ -751,14 +699,9 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
     # Every side is measured best-of-2 — the jobs are heavyweight, so a
     # single scheduler stall on either side would otherwise swing the
     # tracked ratio by tens of percent.
-    reference_answers, serial_seconds = _best_of(
-        lambda: [_reference_circuit_answer(job) for job in jobs], repeats=2
+    serial_results, serial_seconds = _best_of(
+        lambda: BatchEngine(workers=0).run(jobs), repeats=2
     )
-
-    def run_same_core():
-        return BatchEngine(workers=0).run(jobs)
-
-    same_core_results, same_core_seconds = _best_of(run_same_core, repeats=2)
 
     engine = BatchEngine(workers=pool_workers, persistent_pool=True)
     engine.warm()
@@ -786,17 +729,12 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
 
     mismatches = sum(
         1
-        for reference, parallel in zip(reference_answers, engine_results)
-        if reference != parallel.count
+        for serial, parallel in zip(serial_results, engine_results)
+        if serial.count != parallel.count
     )
     mismatches += sum(
         1
-        for reference, parallel in zip(reference_answers, worker_path_results)
-        if reference != parallel.count
-    )
-    mismatches += sum(
-        1
-        for serial, parallel in zip(same_core_results, engine_results)
+        for serial, parallel in zip(serial_results, worker_path_results)
         if serial.count != parallel.count
     )
     errors = sum(1 for result in engine_results if not result.ok)
@@ -813,8 +751,6 @@ def path_circuit_batch(quick: bool, workers: int | None) -> dict:
             "workers": pool_workers,
             "serial_seconds": serial_seconds,
             "speedup": serial_seconds / max(engine_seconds, 1e-9),
-            "serial_same_core_seconds": same_core_seconds,
-            "same_core_speedup": same_core_seconds / max(engine_seconds, 1e-9),
             "worker_circuits": stats["worker_circuits"],
             # None when the timed run itself fanned out to workers;
             # otherwise how many worker compiles the untimed coverage
@@ -1009,7 +945,6 @@ def main(argv: list[str] | None = None) -> int:
     paths: dict[str, dict] = {}
     runners = {
         "hom": lambda: path_hom(args.quick),
-        "sharpsat": lambda: path_sharpsat(args.quick),
         "sharpsat_core": lambda: path_sharpsat_core(args.quick),
         "fpras": lambda: path_fpras(args.quick),
         "amortized": lambda: path_amortized(args.quick),

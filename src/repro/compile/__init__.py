@@ -37,25 +37,19 @@ from repro.compile.backend import (
     LineageReport,
     ValuationCircuit,
     artifact_from_bytes,
-    count_completions_circuit,
     count_completions_lineage,
-    count_valuations_circuit,
     count_valuations_lineage,
     explain_completions,
     explain_valuations,
     explain_valuations_circuit,
     lineage_supports,
-    valuation_marginals,
-    valuation_marginals_recount,
 )
 from repro.compile.circuit import DDNNF, CircuitSampler
 from repro.compile.ddnnf_trace import TraceBuilder
 from repro.compile.encode import (
     CompletionEncoding,
-    SatisfactionEncoding,
     ValuationEncoding,
     compile_completion_cnf,
-    compile_satisfaction_cnf,
     compile_valuation_cnf,
 )
 from repro.compile.lineage import (
@@ -74,22 +68,16 @@ __all__ = [
     "CompletionCircuit",
     "count_completions_lineage",
     "count_valuations_lineage",
-    "count_completions_circuit",
-    "count_valuations_circuit",
     "explain_completions",
     "explain_valuations",
     "explain_valuations_circuit",
-    "valuation_marginals",
-    "valuation_marginals_recount",
     "lineage_supports",
     "DDNNF",
     "CircuitSampler",
     "TraceBuilder",
     "CompletionEncoding",
-    "SatisfactionEncoding",
     "ValuationEncoding",
     "compile_completion_cnf",
-    "compile_satisfaction_cnf",
     "compile_valuation_cnf",
     "LineageUnsupportedQuery",
     "enumerate_completion_matches",

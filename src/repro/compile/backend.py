@@ -183,12 +183,11 @@ class ValuationCircuit:
         self,
         db: IncompleteDatabase,
         query: BooleanQuery,
-        reference: bool = False,
     ) -> None:
         with _span("compile.encode", mode="val"):
             encoding = compile_valuation_cnf(db, query)
         trace = TraceBuilder()
-        counter = ModelCounter(encoding.cnf, trace=trace, reference=reference)
+        counter = ModelCounter(encoding.cnf, trace=trace)
         self._falsifying = counter.count()
         assert counter.trace_root is not None
         with _span("compile.trace_build"):
@@ -622,16 +621,12 @@ class CompletionCircuit:
         self,
         db: IncompleteDatabase,
         query: BooleanQuery | None = None,
-        reference: bool = False,
     ) -> None:
         with _span("compile.encode", mode="comp"):
             encoding = compile_completion_cnf(db, query)
         trace = TraceBuilder()
         counter = ModelCounter(
-            encoding.cnf,
-            projection=encoding.projection,
-            trace=trace,
-            reference=reference,
+            encoding.cnf, projection=encoding.projection, trace=trace
         )
         self._count = counter.count()
         assert counter.trace_root is not None
@@ -1146,66 +1141,6 @@ def artifact_from_bytes(
     )
 
 
-def count_valuations_circuit(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> int:
-    """``#Val(q)(D)`` through the circuit pipeline (compile + one count)."""
-    return ValuationCircuit(db, query).count()
-
-
-def count_completions_circuit(
-    db: IncompleteDatabase, query: BooleanQuery | None = None
-) -> int:
-    """``#Comp(q)(D)`` through the circuit pipeline (compile + one count)."""
-    return CompletionCircuit(db, query).count()
-
-
-def valuation_marginals(
-    db: IncompleteDatabase,
-    query: BooleanQuery,
-    weights: NullWeights | None = None,
-) -> dict[Null, dict[Term, Fraction]]:
-    """Per-null marginals of one instance (compiles a throwaway circuit).
-
-    For repeated questions about the same instance build a
-    :class:`ValuationCircuit` once instead.
-    """
-    return ValuationCircuit(db, query).marginals(weights)
-
-
-def valuation_marginals_recount(
-    db: IncompleteDatabase, query: BooleanQuery
-) -> dict[Null, dict[Term, Fraction]]:
-    """Reference marginals by conditioning and re-counting, per value.
-
-    One full model-counting search per ``(null, value)`` pair — the loop
-    the circuit passes replace.  Kept as the cross-validation oracle and
-    the honest baseline for the amortization benchmark.
-    """
-    encoding = compile_valuation_cnf(db, query)
-    total = encoding.total_valuations
-    satisfying = total - count_models(encoding.cnf)
-    if not satisfying:
-        raise ValueError(
-            "no valuation satisfies the query; marginals are undefined"
-        )
-    result: dict[Null, dict[Term, Fraction]] = {}
-    for null in db.nulls:
-        domain = sorted(db.domain_of(null), key=repr)
-        pinned_total = total // len(domain)
-        for value in domain:
-            variable = encoding.choices.var(null, value)
-            pinned = CNF(
-                encoding.cnf.num_variables,
-                list(encoding.cnf.clauses) + [(variable,)],
-            )
-            satisfying_pinned = pinned_total - count_models(pinned)
-            result.setdefault(null, {})[value] = Fraction(
-                satisfying_pinned, satisfying
-            )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # explain reports
 # ---------------------------------------------------------------------------
@@ -1281,14 +1216,10 @@ __all__ = [
     "artifact_from_bytes",
     "count_valuations_lineage",
     "count_completions_lineage",
-    "count_valuations_circuit",
-    "count_completions_circuit",
     "count_valuations_delta",
     "count_completions_delta",
     "ValuationCircuit",
     "CompletionCircuit",
-    "valuation_marginals",
-    "valuation_marginals_recount",
     "explain_valuations",
     "explain_completions",
     "explain_valuations_circuit",

@@ -16,8 +16,8 @@ in-place state** instead of immutable formula copies:
 * **component caching** — residual components are memoised under compact
   integer content signatures (each reduced clause packs into one int, a
   component keys on the sorted int tuple), so shared substructure is
-  counted once.  Signatures depend only on clause *content*, matching the
-  reference counter's cache equivalence exactly;
+  counted once.  Signatures depend only on clause *content*, so two
+  components share an entry exactly when their reduced clauses are equal;
 * a **preprocessing pass** (:mod:`repro.compile.preprocess`) runs once
   before the search: failed-literal/backbone probing, equivalent-literal
   substitution and (projected mode) pure-literal elimination, each applied
@@ -36,10 +36,9 @@ in-place state** instead of immutable formula copies:
   d-DNNF circuit (:mod:`repro.compile.circuit`) of its decisions, unit
   propagations, component splits and cache reuses as it counts.
 
-The previous tuple-based implementation is retained verbatim as
-:mod:`repro.compile.sharpsat_reference` and reachable through
-``reference=True`` — the differential-testing oracle every randomized
-suite cross-validates against, bit for bit.
+The previous tuple-based implementation lives on with the tests
+(``tests/support/sharpsat_reference.py``) as the differential-testing
+oracle every randomized suite cross-validates against, bit for bit.
 
 Counts are exact big integers.  The recursion is exponential in the width
 of the branching order, not in the number of variables — hard-cell lineage
@@ -59,7 +58,6 @@ from repro.obs import incr as _incr, observe as _observe, span as _span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.ddnnf_trace import TraceBuilder
-    from repro.compile.sharpsat_reference import ReferenceModelCounter
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -85,8 +83,6 @@ class ModelCounter:
     unit propagation always runs); ``probe`` forwards to
     :func:`~repro.compile.preprocess.preprocess_store` (``'auto'`` probes
     in projected mode only — see there for why).
-    ``reference`` — delegate to the retained tuple-based implementation
-    (:mod:`repro.compile.sharpsat_reference`); the slow differential oracle.
     """
 
     def __init__(
@@ -97,7 +93,6 @@ class ModelCounter:
         trace: "TraceBuilder | None" = None,
         preprocess: bool = True,
         probe: "bool | str" = "auto",
-        reference: bool = False,
     ) -> None:
         self._cnf = cnf
         self._projection: frozenset[int] | None = (
@@ -118,21 +113,7 @@ class ModelCounter:
         #: What the preprocessing pass did (set by :meth:`count`).
         self.preprocessing: PreprocessResult | None = None
         self.width: int | None
-        self._cache: dict
         self._stats_flushed = False
-        self._impl: "ReferenceModelCounter | None" = None
-        if reference:
-            from repro.compile.sharpsat_reference import (
-                ReferenceModelCounter as _Reference,
-            )
-
-            self._impl = _Reference(
-                cnf, projection=projection, order=order, trace=trace
-            )
-            self.width = self._impl.width
-            self._cache = self._impl._cache
-            return
-
         self._preprocess_enabled = preprocess
         self._probe = probe
         self._proj_mask: int | None = None
@@ -158,7 +139,7 @@ class ModelCounter:
         self._rank = rank
         self._key_base = 2 * cnf.num_variables + 2
         self._index_store(self._store)
-        self._cache = {}
+        self._cache: dict = {}
         self._sat_cache: dict[tuple[int, ...], bool] = {}
         self._result: int | None = None
 
@@ -209,16 +190,6 @@ class ModelCounter:
         per decision level, and the default limit is too tight for
         formulas with a few hundred variables.
         """
-        if self._impl is not None:
-            with _span("compile.search", core="reference"):
-                result = self._impl.count()
-            self.trace_root = self._impl.trace_root
-            self.cache_hits = self._impl.cache_hits
-            self.components_split = self._impl.components_split
-            self.decisions = self._impl.decisions
-            self._cache = self._impl._cache
-            self._flush_stats()
-            return result
         if self._result is not None:
             return self._result
         limit = sys.getrecursionlimit()
@@ -234,15 +205,12 @@ class ModelCounter:
         return self._result
 
     def stats(self) -> dict[str, Any]:
-        """The uniform search-statistics vocabulary, both cores.
+        """The search-statistics vocabulary, one key set for every consumer.
 
-        Keys are stable across cores; values the trail core tracks but the
-        reference core does not (propagations, conflicts, trail depth,
-        preprocessing) come back ``None`` there.  Meaningful after
-        :meth:`count`; consumers read this instead of the raw attributes.
+        Meaningful after :meth:`count`; consumers (the obs layer, explain
+        reports, circuit artifacts) read this instead of the raw
+        attributes.
         """
-        if self._impl is not None:
-            return self._impl.stats()
         pre = self.preprocessing
         store = self._store
         return {
@@ -383,9 +351,9 @@ class ModelCounter:
         actually reduced are rescanned.  Signatures pack literals as
         base-``2n+2`` digits in stored (canonical) clause order — two
         clauses sign equally exactly when their reduced contents are
-        equal, so the cache keeps the reference counter's equivalence
-        classes at integer-hash prices.  Deterministic: components come
-        out ordered by their smallest clause index.
+        equal, so the cache keys on clause content at integer-hash
+        prices.  Deterministic: components come out ordered by their
+        smallest clause index.
         """
         store = self._store
         value = store.value
@@ -639,7 +607,6 @@ def count_models(
     order: Sequence[int] | None = None,
     preprocess: bool = True,
     probe: "bool | str" = "auto",
-    reference: bool = False,
 ) -> int:
     """Convenience wrapper: exact (projected) model count of ``cnf``."""
     return ModelCounter(
@@ -648,5 +615,4 @@ def count_models(
         order=order,
         preprocess=preprocess,
         probe=probe,
-        reference=reference,
     ).count()

@@ -1,10 +1,11 @@
 """The trail: an occurrence-indexed clause store with in-place propagation.
 
 :class:`ClauseStore` is the mutable heart of the trail-based model counter
-(:mod:`repro.compile.sharpsat`).  Where the retained reference counter
-(:mod:`repro.compile.sharpsat_reference`) rebuilds the whole residual
-formula as fresh clause tuples on every decision, the store keeps **one**
-copy of every clause and two integers of live state per clause:
+(:mod:`repro.compile.sharpsat`).  Where the tuple-based counter it replaced
+(kept as the test oracle ``tests/support/sharpsat_reference.py``) rebuilds
+the whole residual formula as fresh clause tuples on every decision, the
+store keeps **one** copy of every clause and two integers of live state
+per clause:
 
 * ``sat[ci]`` — how many of the clause's literals are currently true
   (``0`` means the clause is still live);

@@ -11,14 +11,11 @@ module exists so that
 * randomized suites can assert the two cores agree **bit for bit** on
   every count (full and projected), which is the strongest cheap evidence
   the in-place propagation and its undo logic are sound;
-* ``ModelCounter(..., reference=True)`` / ``count_models(...,
-  reference=True)`` stay available as an escape hatch while the trail
-  core is young;
 * the benchmark harness has an honest "before" measurement for the
-  before/after ratio it tracks.
+  before/after ratio its ``sharpsat_core`` path records.
 
-Nothing here is exported through :mod:`repro.compile`; reach it through
-the ``reference=True`` flag or import it explicitly in tests.  Do not
+It lives with the tests, not in the package: import it as
+``support.sharpsat_reference`` (``tests/`` on ``sys.path``).  Do not
 "optimize" this module — its value is that it stays the old code.
 """
 
@@ -382,3 +379,14 @@ def _split_components(clauses: Clauses) -> list[Clauses]:
         return [clauses]
     # The input is sorted, so per-group append order stays sorted.
     return [tuple(group) for group in groups.values()]
+
+
+def reference_count_models(
+    cnf: CNF,
+    projection: Iterable[int] | None = None,
+    order: Sequence[int] | None = None,
+) -> int:
+    """Exact (projected) model count of ``cnf`` on the reference core."""
+    return ReferenceModelCounter(
+        cnf, projection=projection, order=order
+    ).count()

@@ -28,13 +28,7 @@ from repro.approx.sampler import (
     CircuitValuationSampler,
     NoSatisfyingValuation,
 )
-from repro.compile import (
-    CompletionCircuit,
-    ValuationCircuit,
-    compile_satisfaction_cnf,
-    count_models,
-    valuation_marginals_recount,
-)
+from repro.compile import CompletionCircuit, ValuationCircuit, count_models
 from repro.core.query import Atom, BCQ, Const, CustomQuery, UCQ
 from repro.db.valuation import (
     apply_valuation,
@@ -57,6 +51,8 @@ from repro.workloads.generators import (
     random_incomplete_db,
     scaling_hard_val_instance,
 )
+from support.marginals_recount import valuation_marginals_recount
+from support.witness_encoding import compile_satisfaction_cnf
 
 QUERIES = [
     BCQ([Atom("R", ["x", "y"])]),

@@ -10,6 +10,10 @@ from repro.compile.ordering import (
     primal_graph,
 )
 from repro.compile.sharpsat import ModelCounter, count_models
+from support.sharpsat_reference import (
+    ReferenceModelCounter,
+    reference_count_models,
+)
 
 
 @st.composite
@@ -114,7 +118,7 @@ class TestReferenceParity:
     @given(small_cnfs())
     @settings(max_examples=120, deadline=None)
     def test_full_counts_match_reference(self, cnf):
-        assert count_models(cnf) == count_models(cnf, reference=True)
+        assert count_models(cnf) == reference_count_models(cnf)
 
     @given(small_cnfs(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -122,13 +126,13 @@ class TestReferenceParity:
         projection = data.draw(
             st.sets(st.integers(min_value=1, max_value=cnf.num_variables))
         )
-        assert count_models(cnf, projection=projection) == count_models(
-            cnf, projection=projection, reference=True
-        )
+        assert count_models(
+            cnf, projection=projection
+        ) == reference_count_models(cnf, projection=projection)
 
     def test_reference_flag_surfaces_statistics(self):
         cnf = CNF(4, [(1, 2), (3, 4)])
-        counter = ModelCounter(cnf, reference=True)
+        counter = ReferenceModelCounter(cnf)
         assert counter.count() == 9
         assert counter.components_split >= 1
         assert counter.width is not None

@@ -56,6 +56,7 @@ from repro.workloads.generators import (
     scaling_hard_val_instance,
     scaling_long_cycle_val_instance,
 )
+from support.sharpsat_reference import reference_count_models
 
 
 def _random_cnf(rng, max_variables=9, max_clauses=14):
@@ -109,11 +110,11 @@ class TestDifferentialSolver:
             )
             full = count_models_dpdb(cnf)
             assert full == count_models(cnf)
-            assert full == count_models(cnf, reference=True)
+            assert full == reference_count_models(cnf)
             projected = count_models_dpdb(cnf, projection=projection)
             assert projected == count_models(cnf, projection=projection)
-            assert projected == count_models(
-                cnf, projection=projection, reference=True
+            assert projected == reference_count_models(
+                cnf, projection=projection
             )
 
     def test_weighted_counts_match_brute_enumeration(self):

@@ -12,6 +12,7 @@ from repro.engine.jsonl import RESULT_KEYS, read_results, write_results
 from repro.exact import planner
 from repro.obs import add_sink, capture, default_registry, remove_sink, set_enabled
 from repro.workloads.generators import scaling_codd_instance, scaling_hard_val_instance
+from support.sharpsat_reference import ReferenceModelCounter
 
 STATS_KEYS = {
     "core", "decisions", "propagations", "conflicts", "max_trail_depth",
@@ -53,7 +54,7 @@ class TestCounterStats:
     def test_both_cores_expose_the_same_vocabulary(self):
         cnf = CNF(4, [(1, 2), (3, 4)])
         trail = ModelCounter(cnf)
-        reference = ModelCounter(cnf, reference=True)
+        reference = ReferenceModelCounter(cnf)
         assert trail.count() == reference.count() == 9
         trail_stats = trail.stats()
         reference_stats = reference.stats()
@@ -71,7 +72,7 @@ class TestCounterStats:
         assert stats["max_trail_depth"] > 0
 
     def test_reference_core_reports_untracked_as_none(self):
-        counter = ModelCounter(CNF(3, [(1, 2)]), reference=True)
+        counter = ReferenceModelCounter(CNF(3, [(1, 2)]))
         counter.count()
         stats = counter.stats()
         assert stats["propagations"] is None

@@ -18,6 +18,7 @@ from repro.compile.preprocess import preprocess_store
 from repro.compile.sharpsat import ModelCounter, count_models
 from repro.compile.trail import ClauseStore
 from repro.complexity.cnf import CNF
+from support.sharpsat_reference import reference_count_models
 
 
 def random_cnf(rng, max_variables=8, max_clauses=14):
@@ -37,7 +38,7 @@ class TestRandomizedSoundness:
         rng = random.Random(20250730)
         for _ in range(120):
             cnf = random_cnf(rng)
-            reference = count_models(cnf, reference=True)
+            reference = reference_count_models(cnf)
             assert count_models(cnf, probe=True) == reference
             assert count_models(cnf, preprocess=False) == reference
 
@@ -49,7 +50,7 @@ class TestRandomizedSoundness:
                 range(1, cnf.num_variables + 1),
                 rng.randint(0, cnf.num_variables),
             )
-            reference = count_models(cnf, projection=projection, reference=True)
+            reference = reference_count_models(cnf, projection=projection)
             assert (
                 count_models(cnf, projection=projection, probe=True)
                 == reference
@@ -67,7 +68,7 @@ class TestRandomizedSoundness:
                 range(1, cnf.num_variables + 1),
                 rng.randint(1, cnf.num_variables),
             )
-            reference = count_models(cnf, projection=projection, reference=True)
+            reference = reference_count_models(cnf, projection=projection)
             trace = TraceBuilder()
             counter = ModelCounter(
                 cnf, projection=projection, trace=trace, probe=True
@@ -106,9 +107,7 @@ class TestStages:
         assert len(report.substitutions) == 1
         assert report.rewritten is not None
         # The count is preserved through the counter's end-to-end path.
-        assert count_models(cnf, probe=True) == count_models(
-            cnf, reference=True
-        )
+        assert count_models(cnf, probe=True) == reference_count_models(cnf)
 
     def test_no_substitution_under_full_count_trace(self):
         store = ClauseStore(3, [(-1, 2), (1, -2), (2, 3)])
@@ -139,9 +138,9 @@ class TestStages:
         report_full = preprocess_store(store_full, probe=True)
         assert report_full.pure_fixed == ()
         # And the projected count survives the fix, end to end.
-        assert count_models(cnf, projection=[1, 2]) == count_models(
-            cnf, projection=[1, 2], reference=True
-        )
+        assert count_models(
+            cnf, projection=[1, 2]
+        ) == reference_count_models(cnf, projection=[1, 2])
 
     def test_unsatisfiable_input_reports_conflict(self):
         store = ClauseStore(1, [(1,), (-1,)])

@@ -8,6 +8,7 @@ as an explicit diff here instead of as a silent break for downstream code.
 import inspect
 
 import repro
+import repro.compile
 
 
 EXPECTED_ALL = [
@@ -33,6 +34,44 @@ EXPECTED_ALL = [
     "solve",
     "__version__",
 ]
+
+#: The knowledge-compilation surface.  Test-only oracles (the reference
+#: model counter, the witness encoding, recount marginals) live in
+#: ``tests/support`` and must not come back here.
+EXPECTED_COMPILE_ALL = [
+    "CircuitFormatError",
+    "LineageReport",
+    "artifact_from_bytes",
+    "ValuationCircuit",
+    "CompletionCircuit",
+    "count_completions_lineage",
+    "count_valuations_lineage",
+    "explain_completions",
+    "explain_valuations",
+    "explain_valuations_circuit",
+    "lineage_supports",
+    "DDNNF",
+    "CircuitSampler",
+    "TraceBuilder",
+    "CompletionEncoding",
+    "ValuationEncoding",
+    "compile_completion_cnf",
+    "compile_valuation_cnf",
+    "LineageUnsupportedQuery",
+    "enumerate_completion_matches",
+    "enumerate_valuation_matches",
+    "ModelCounter",
+    "count_models",
+]
+
+
+def _parameters(function):
+    """``(name, default)`` per parameter: the keyword surface a caller
+    can pass, independent of how annotations render."""
+    return [
+        (name, parameter.default)
+        for name, parameter in inspect.signature(function).parameters.items()
+    ]
 
 
 class TestPublicSurface:
@@ -69,4 +108,45 @@ class TestPublicSurface:
         fields = [f.name for f in dataclasses.fields(repro.Answer)]
         assert fields == [
             "problem", "count", "method", "plan", "seconds", "stats",
+        ]
+
+
+class TestCompileSurface:
+    def test_compile_all_is_pinned(self):
+        assert repro.compile.__all__ == EXPECTED_COMPILE_ALL
+
+    def test_compile_all_names_resolve(self):
+        for name in repro.compile.__all__:
+            assert hasattr(repro.compile, name), name
+
+    def test_counter_signatures(self):
+        empty = inspect.Parameter.empty
+        assert _parameters(repro.compile.ModelCounter.__init__) == [
+            ("self", empty),
+            ("cnf", empty),
+            ("projection", None),
+            ("order", None),
+            ("trace", None),
+            ("preprocess", True),
+            ("probe", "auto"),
+        ]
+        assert _parameters(repro.compile.count_models) == [
+            ("cnf", empty),
+            ("projection", None),
+            ("order", None),
+            ("preprocess", True),
+            ("probe", "auto"),
+        ]
+
+    def test_circuit_signatures(self):
+        empty = inspect.Parameter.empty
+        assert _parameters(repro.compile.ValuationCircuit.__init__) == [
+            ("self", empty),
+            ("db", empty),
+            ("query", empty),
+        ]
+        assert _parameters(repro.compile.CompletionCircuit.__init__) == [
+            ("self", empty),
+            ("db", empty),
+            ("query", None),
         ]
