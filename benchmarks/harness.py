@@ -30,8 +30,12 @@ Runs one fixed workload per tracked hot path —
   width-bounded grid/long-cycle hard-cell workloads, answers asserted
   bit-identical and the DP-over-search speedup recorded;
 * ``dpdb_mid_width`` the same head-to-head on width 14–16 cells (a 4×12
-  grid and a chorded cycle), the band where ``auto`` picks the DP
-  over the trail search;
+  grid and a chorded cycle), the band where the DP undercuts the trail
+  search;
+* ``nulldp``       null elimination over domain values
+  (:mod:`repro.compile.nulldp`) on a chorded 40-cycle colouring whose
+  boolean width is past the dpdb limit, against the trail core, answers
+  asserted bit-identical;
 * ``circuit_batch`` a batch of *distinct* circuit-backed jobs
   (``val-weighted``, ``marginals``, ``method='circuit'``): the engine —
   persistent warmed pool, worker-compiled artifacts installed into the
@@ -81,6 +85,7 @@ from repro.compile.dpdb import (
     probe_cache_clear,
 )
 from repro.compile.encode import compile_valuation_cnf
+from repro.compile.nulldp import count_valuations_nulldp, nulldp_probe
 from repro.compile.sharpsat import ModelCounter
 from repro.core.query import Atom, BCQ
 from repro.db.database import Database
@@ -105,7 +110,7 @@ from support.sharpsat_reference import ReferenceModelCounter
 TRACKED_PATHS = (
     "hom", "sharpsat_core", "fpras", "amortized",
     "amortized_vectorized", "incremental", "batch_engine", "circuit_batch",
-    "dpdb", "dpdb_mid_width",
+    "dpdb", "dpdb_mid_width", "nulldp",
 )
 
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_engine.json")
@@ -205,7 +210,7 @@ def path_sharpsat_core(quick: bool) -> dict:
         if quick
         else [(18, 0.05, 7), (20, 0.05, 7), (24, 0.03, 11)]
     )
-    from repro.compile.ordering import branching_order
+    from support.branching import branching_order
 
     prepared = []
     for size, chord, seed in specs:
@@ -516,6 +521,39 @@ def _dpdb_against_trail(instances: list) -> dict:
                 dpdb_probe("val", db, query).width
                 for _, db, query in instances
             ],
+            "trail_seconds": trail_seconds,
+            "speedup": trail_seconds / max(seconds, 1e-9),
+        },
+    }
+
+
+def path_nulldp(quick: bool) -> dict:
+    """Null elimination vs the trail core on a wide chorded-cycle cell.
+
+    ``scaling_hard_val_instance(40, 3, 0.03, 14)``: a 3-colouring lineage
+    whose one-hot CNF is too wide for dpdb, so without nulldp ``auto``
+    runs the trail search on it.  Each nulldp repeat starts from a cleared probe
+    memo, so the time covers match enumeration, ordering and the tables.
+    One fixed instance in both modes.
+    """
+    db, query = scaling_hard_val_instance(40, 3, 0.03, 14)
+
+    def run_nulldp():
+        probe_cache_clear()
+        return count_valuations_nulldp(db, query)
+
+    count, seconds = _best_of(run_nulldp, repeats=5)
+    trail_count, trail_seconds = _best_of(
+        lambda: count_valuations_lineage(db, query), repeats=2
+    )
+    if count != trail_count:
+        raise AssertionError("nulldp disagreed with the trail core")
+    probe = nulldp_probe(db, query)
+    return {
+        "seconds": seconds,
+        "detail": {
+            "cells": probe.cells,
+            "scope_max": probe.scope_max,
             "trail_seconds": trail_seconds,
             "speedup": trail_seconds / max(seconds, 1e-9),
         },
@@ -954,6 +992,7 @@ def main(argv: list[str] | None = None) -> int:
         "circuit_batch": lambda: path_circuit_batch(args.quick, args.workers),
         "dpdb": lambda: path_dpdb(args.quick),
         "dpdb_mid_width": lambda: path_dpdb_mid_width(args.quick),
+        "nulldp": lambda: path_nulldp(args.quick),
     }
     try:
         for name in TRACKED_PATHS:
@@ -1044,6 +1083,15 @@ def main(argv: list[str] | None = None) -> int:
                 dpdb_detail["speedup"],
             )
         )
+    nulldp_detail = paths["nulldp"]["detail"]
+    print(
+        "nulldp: %d cells (scope %d), %.2fx faster than the trail core"
+        % (
+            nulldp_detail["cells"],
+            nulldp_detail["scope_max"],
+            nulldp_detail["speedup"],
+        )
+    )
 
     report = {
         "meta": {

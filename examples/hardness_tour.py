@@ -143,10 +143,11 @@ print("every reduction recovered the source count exactly.")
 #
 # #Val(R(x,x)) is #P-hard (Prop. 3.4, first stop of the tour), so `poly`
 # refuses it and `brute` dies at ~10^6 valuations.  The compiled backends
-# turn the instance into a CNF over "null = value" indicators instead:
-# `auto` probes the elimination width and — on a cycle, whose width stays
-# tiny — picks the tree-decomposition DP (method='dpdb'); wider lineages
-# fall back to the search-based 'lineage' counter.
+# read the query's lineage matches instead: `auto` orders the nulls for
+# elimination and — on a cycle, whose tables stay tiny — eliminates them
+# one by one over their domain values (method='nulldp'); wider lineages
+# go to the tree-decomposition DP over the CNF ('dpdb') or the
+# search-based 'lineage' counter.
 # ---------------------------------------------------------------------------
 
 import time
@@ -158,7 +159,7 @@ from repro.exact.dispatch import count_valuations, plan
 big_db = build_three_coloring_db(cycle_graph(40))
 hard_query = BCQ([Atom("R", ["x", "x"])])
 chosen = plan("val", big_db, hard_query).chosen
-assert chosen == "dpdb"  # the 40-cycle's elimination width is far below the cap
+assert chosen == "nulldp"  # the 40-cycle's tables are far below the cap
 started = time.perf_counter()
 hard_count = count_valuations(big_db, hard_query)
 elapsed = time.perf_counter() - started

@@ -29,7 +29,9 @@ database and knowledge-compilation literature:
 (compile once, ask many) backends of :mod:`repro.exact.dispatch`; either
 way the cost is exponential in the heuristic treewidth of the lineage,
 not in the number of nulls, which is what turns the hard cells from
-toy-only into a workload.
+toy-only into a workload.  For ``#Val``, :mod:`repro.compile.nulldp`
+skips steps 2–3: it eliminates the nulls themselves over their
+(compressed) domain values, straight from the lineage matches.
 """
 
 from repro.compile.backend import (

@@ -657,9 +657,13 @@ def _probe_cnf(encoding: Any, cnf: CNF, projection_mask: int) -> DpdbProbe:
 
 
 def probe_cache_clear() -> None:
-    """Drop the memoized probes (tests and long-running services)."""
+    """Drop the memoized planner probes, the nulldp probe's included
+    (tests, benchmarks and long-running services)."""
+    from repro.compile.nulldp import nulldp_probe
+
     _probe_val.cache_clear()
     _probe_comp.cache_clear()
+    nulldp_probe.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,10 @@ def enumerate_valuation_matches(
     # The relation index is shared across disjuncts — a UCQ's BCQs all
     # walk the same naive table, so it is built once, not per disjunct.
     facts_by_relation: dict[str, list[Fact]] = {}
-    for fact in sorted(db.facts):
+    # The order of Fact.__lt__, with each fact's key computed once.
+    for fact in sorted(
+        db.facts, key=lambda fact: (fact.relation, tuple(map(repr, fact.terms)))
+    ):
         facts_by_relation.setdefault(fact.relation, []).append(fact)
     for disjunct in _disjuncts(query):
         for conditions in _bcq_matches(db, disjunct, facts_by_relation):
@@ -334,14 +337,30 @@ def component_key(
 def _absorb(matches: set) -> list:
     """Minimize a monotone DNF by absorption: drop supersets of kept sets.
 
-    Skipped beyond :data:`ABSORPTION_LIMIT` matches (quadratic pass); the
-    encoding stays correct either way, only less compact.
+    Skipped beyond :data:`ABSORPTION_LIMIT` matches; the encoding stays
+    correct either way, only less compact.  A kept set can only absorb a
+    match that contains its first member, so each kept set is filed
+    under that member and a match checks only the sets filed under its
+    own members.
     """
-    ordered = sorted(matches, key=lambda match: (len(match), sorted(map(repr, match))))
+    shown: dict = {}
+    for match in matches:
+        for item in match:
+            if item not in shown:
+                shown[item] = repr(item)
+    ordered = sorted(
+        matches, key=lambda match: (len(match), sorted(shown[item] for item in match))
+    )
     if len(ordered) > ABSORPTION_LIMIT:
         return ordered
+    if ordered and not ordered[0]:
+        return ordered[:1]  # the empty set absorbs every match
     kept: list = []
+    filed: dict = {}
     for match in ordered:
-        if not any(other <= match for other in kept):
+        if not any(
+            other <= match for item in match for other in filed.get(item, ())
+        ):
             kept.append(match)
+            filed.setdefault(next(iter(match)), []).append(match)
     return kept

@@ -26,8 +26,8 @@ tie-break — only their cost).  The model counter hands its
 occurrence-index-derived adjacency masks straight to
 :func:`elimination_order_masks`, so the primal graph is built exactly once
 per formula; :func:`primal_masks` additionally memoizes per CNF object so
-the planner's width probe, :func:`branching_order` and the decomposer
-share one primal-graph build.
+the planner's width probe and the decomposer share one primal-graph
+build.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def primal_masks(cnf: CNF) -> dict[int, int]:
     This is the mask form :func:`elimination_order_masks` consumes.
 
     The result is memoized per CNF object (invalidated when the clause or
-    variable count changes), so the planner's width probe,
-    :func:`branching_order` and the dpdb decomposer all share one build.
+    variable count changes), so the planner's width probe and the dpdb
+    decomposer share one build.
     Callers must treat the returned dict as read-only.
     """
     cached = _PRIMAL_CACHE.get(cnf)
@@ -228,8 +228,9 @@ def refined_elimination_masks(
     estimate), then a min-fill refinement only where the width is small
     enough for the refinement to matter (:data:`MIN_FILL_REFINE_WIDTH`);
     the better of the two widths wins.  This is the policy behind
-    :func:`branching_order` and the dpdb width probe, so the width the
-    planner quotes is the width the decomposition actually gets.
+    :func:`branching_order_masks`, the dpdb width probe and the nulldp
+    elimination, so the width the planner quotes is the width the
+    decomposition actually gets.
     """
     order, width, bags = _greedy_eliminate(
         masks, use_min_fill=False, delay=delay, collect_bags=True
@@ -279,21 +280,14 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-def branching_order(cnf: CNF) -> tuple[list[int], int]:
+def branching_order_masks(masks: Mapping[int, int]) -> tuple[list[int], int]:
     """Static branching order for the counter: reverse elimination order.
 
     The last vertex eliminated corresponds to the root bag of the induced
     tree decomposition; assigning it first disconnects the decomposition's
-    subtrees, so component splitting fires as early as possible.  Variables
-    absent from every clause are unconstrained and omitted.  Also returns
-    the induced width as a difficulty estimate.  (The counter turns the
-    order into a flat positional rank table itself.)
-    """
-    return branching_order_masks(primal_masks(cnf))
-
-
-def branching_order_masks(masks: Mapping[int, int]) -> tuple[list[int], int]:
-    """:func:`branching_order` over prebuilt adjacency bitsets.
+    subtrees, so component splitting fires as early as possible.  Vertices
+    absent from ``masks`` are unconstrained and omitted.  Also returns the
+    induced width as a difficulty estimate.
 
     The model counter calls this with the masks its occurrence index
     already derived, so the primal graph is never rebuilt from the clause

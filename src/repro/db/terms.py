@@ -19,10 +19,12 @@ class Null:
     facts, sets and dict keys.
     """
 
-    __slots__ = ("_label",)
+    __slots__ = ("_label", "_hash")
 
     def __init__(self, label: Hashable) -> None:
         self._label = label
+        # Nulls key every lineage table and match set; hash the label once.
+        self._hash = hash(("repro.Null", label))
 
     @property
     def label(self) -> Hashable:
@@ -32,7 +34,11 @@ class Null:
         return isinstance(other, Null) and other._label == self._label
 
     def __hash__(self) -> int:
-        return hash(("repro.Null", self._label))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuild from the label: string hashes differ between processes.
+        return (Null, (self._label,))
 
     def __repr__(self) -> str:
         return "⊥%s" % (self._label,)

@@ -27,8 +27,8 @@ Method vocabulary (see the registry for the authoritative table):
 =================== ======================================================
 ``auto``            cheapest applicable method: a polynomial Table 1
                     algorithm when one applies, else the cheapest of
-                    ``delta`` / ``dpdb`` / ``lineage`` on (U)CQs, else
-                    ``brute``
+                    ``delta`` / ``nulldp`` / ``dpdb`` / ``lineage`` on
+                    (U)CQs, else ``brute``
 ``poly``            polynomial algorithm or :class:`NoPolynomialAlgorithm`
 ``single-occurrence`` Theorem 3.6 closed formula (``#Val``, weighted too)
 ``codd`` / ``uniform`` / ``uniform-unary``  Theorems 3.7 / 3.9 / 4.6
@@ -36,6 +36,11 @@ Method vocabulary (see the registry for the authoritative table):
                     condition the parent's circuit, or recompile only the
                     components the delta touched; degrades to ``circuit``
                     on instances without delta provenance
+``nulldp``          ``#Val`` only: eliminate the nulls one by one over
+                    their (compressed) domain values, reading the lineage
+                    matches directly (preferred while its largest table
+                    fits the memory ceiling); degrades to ``brute`` on
+                    non-(U)CQs
 ``dpdb``            compile to CNF, then a join/project/sum DP over a tree
                     decomposition (preferred below the width limit);
                     degrades to ``brute`` on non-(U)CQs

@@ -10,17 +10,22 @@ registered here as a :class:`Method` with
   way (the dichotomy conditions, database shape, query class),
 * **capability flags** (polynomial? weighted counting? marginals?),
 * a **cheap cost estimate** — a tier encoding the preference lattice
-  (closed form < lineage < circuit < brute) plus a bounded size term, so
-  two applicable methods in the same tier still order deterministically,
+  (closed form < delta < nulldp < dpdb < lineage < circuit < brute) plus
+  a bounded size term, so two applicable methods in the same tier still
+  order deterministically,
+* a **tier floor**, the least cost the estimate can return,
 * the **solver callable** itself.
 
 :func:`plan` turns ``(problem, D, q, method)`` into an explainable
 :class:`Plan`: the chosen method plus every alternative with its reason.
 A plan prices only the methods that can still be chosen: under ``auto``
-and ``poly`` the polynomial methods' shape predicates run first, and when
-one applies the rest are listed as ``not evaluated`` (the tier lattice
-makes any applicable closed form cheaper than all of them); a forced
-method prices only itself and, if it cannot apply, its fallback.
+and ``poly`` the polynomial methods' shape predicates run first, then
+``auto`` prices the other methods in floor order and stops once the best
+cost so far is below the next floor; the rest are listed as ``not
+evaluated``.  An applicable closed form thus makes every other method
+moot, and a ``nulldp`` table within the memory ceiling spares the dpdb
+width probe.  A forced method prices only itself and, if it cannot
+apply, its fallback.
 ``method='auto'`` picks the cheapest applicable method,
 ``method='poly'`` restricts the choice to polynomial methods (and the plan
 carries the hardness verdict when none applies), and a concrete method
@@ -56,6 +61,11 @@ from repro.compile.dpdb import (
     count_completions_dpdb,
     count_valuations_dpdb,
     dpdb_probe,
+)
+from repro.compile.nulldp import (
+    NULLDP_CELL_LIMIT,
+    count_valuations_nulldp,
+    nulldp_probe,
 )
 from repro.core.patterns import (
     has_atom_with_two_variables,
@@ -94,12 +104,14 @@ _POLY_PROBLEMS = frozenset({"val", "comp"})
 
 #: Cost tiers: the preference lattice ``auto`` optimizes over.  Within a
 #: problem, any applicable lower-tier method beats any higher-tier one;
-#: the fractional size term added by each estimator stays below 1.0 so it
-#: can only order methods *within* a tier.
+#: the size term added by each estimator stays below the gap to the next
+#: tier, so it can only order methods *within* a tier.  Each tier is also
+#: its methods' floor (:attr:`Method.floor`).
 TIER_CLOSED_FORM = 1.0
 TIER_CLOSED_FORM_CODD = 2.0
 TIER_CLOSED_FORM_UNIFORM = 3.0
 TIER_DELTA = 8.5
+TIER_NULLDP = 8.75
 TIER_DPDB = 9.0
 TIER_LINEAGE = 10.0
 TIER_CIRCUIT = 11.0
@@ -131,6 +143,10 @@ class Method:
     applies: Applies
     cost: Cost
     run: Run
+    #: A lower bound on ``cost``: ``auto`` prices the non-polynomial
+    #: methods in floor order and skips every method whose floor is above
+    #: the best cost found so far.  ``0.0`` means always priced.
+    floor: float = 0.0
     #: Method to degrade to when this one is *forced* on an instance it
     #: cannot handle (``None``: honor the forced choice and let the solver
     #: raise its own error).
@@ -301,24 +317,43 @@ def plan(
     chosen: str | None
     if method in ("auto", "poly"):
         # The tier lattice puts every polynomial method below every other
-        # one, so the cheap shape predicates run first and a hit makes the
-        # rest (lineage encodes, the dpdb width probe) moot.
-        pool = evaluate([entry for entry in entries if entry.polynomial])
-        if pool:
-            chosen = min(pool, key=_cost_of).method
-            moot = "not evaluated: polynomial method %r applies" % chosen
-        elif method == "poly":
-            chosen = None
-            moot = "not evaluated: request 'poly' admits polynomial methods only"
-        else:
-            pool = evaluate([entry for entry in entries if not entry.polynomial])
-            chosen = min(pool, key=_cost_of).method if pool else None
-            moot = ""
+        # one, so the cheap shape predicates run first.  The rest are
+        # priced cheapest floor first, and pricing stops once the best cost
+        # is below the next floor: a closed form makes the lineage encodes
+        # and probes moot, a fitting nulldp the dpdb width probe.
+        evaluate([entry for entry in entries if entry.polynomial])
+        rest = [] if method == "poly" else sorted(
+            (entry for entry in entries if not entry.polynomial),
+            key=lambda entry: entry.floor,
+        )
+        for entry in rest:
+            best = _cheapest(entries, verdicts)
+            if best is not None and _cost_of(best) < entry.floor:
+                break
+            evaluate([entry])
+        best = _cheapest(entries, verdicts)
+        chosen = best.method if best is not None else None
+
+        def moot(entry: Method) -> str:
+            if best is not None and best.polynomial:
+                return "not evaluated: polynomial method %r applies" % chosen
+            if best is None or method == "poly":
+                return (
+                    "not evaluated: request 'poly' admits polynomial "
+                    "methods only"
+                )
+            return "not evaluated: %r costs %.2f, below this floor %.2f" % (
+                best.method, _cost_of(best), entry.floor
+            )
+
         if chosen is None:
             error = _no_method_error(problem, query, method)
     else:
         entry = _REGISTRY[problem][method]
-        moot = "not evaluated: request forces %r" % method
+
+        def moot(entry: Method) -> str:
+            return "not evaluated: request forces %r" % method
+
         if evaluate([entry]):
             chosen = method
         elif entry.fallback is not None:
@@ -337,7 +372,7 @@ def plan(
                 % (method, verdicts[method].reason)
             )
     considered = tuple(
-        verdicts.get(entry.name) or _verdict(entry, False, moot)
+        verdicts.get(entry.name) or _verdict(entry, False, moot(entry))
         for entry in entries
     )
     _obs_event(
@@ -397,6 +432,18 @@ def _verdict(
 def _cost_of(item: Considered) -> float:
     assert item.cost is not None
     return item.cost
+
+
+def _cheapest(
+    entries: tuple[Method, ...], verdicts: Mapping[str, Considered]
+) -> Considered | None:
+    """The cheapest applicable verdict, registration order breaking ties."""
+    pool = [
+        verdicts[entry.name]
+        for entry in entries
+        if entry.name in verdicts and verdicts[entry.name].applicable
+    ]
+    return min(pool, key=_cost_of) if pool else None
 
 
 def _no_method_error(
@@ -570,6 +617,19 @@ def _applies_dpdb(
     )
 
 
+def _applies_nulldp(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> tuple[bool, str]:
+    """Applies wherever lineage does; the probe's cells live in the cost
+    and detail, so only a plan that prices nulldp enumerates the matches."""
+    if query is None or not lineage_supports(query):
+        return False, "lineage compilation handles (U)CQs only"
+    return True, (
+        "(U)CQ lineage matches; null-by-null elimination over domain "
+        "values (cells in detail)"
+    )
+
+
 def _applies_circuit(
     db: IncompleteDatabase, query: BooleanQuery | None
 ) -> tuple[bool, str]:
@@ -648,7 +708,7 @@ def _delta_cost(kind: str) -> Cost:
     def cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
         depth, pure = _delta_provenance(db)
         if kind == "val" and pure:
-            return TIER_DELTA + _fraction(depth)
+            return TIER_DELTA + _fraction(depth) / 4.0
         return (
             TIER_CIRCUIT
             + 0.5
@@ -756,6 +816,27 @@ def _dpdb_cost(kind: str) -> Cost:
     return cost
 
 
+def _nulldp_cost(db: IncompleteDatabase, query: BooleanQuery | None) -> float:
+    """Exact-work estimate: ``Σ_bags ∏|dom|`` cells after value
+    compression.  While the largest table stays within dpdb's memory
+    ceiling (:data:`NULLDP_CELL_LIMIT`) the tier sits below dpdb's, so a
+    plan that finds nulldp fitting never runs the dpdb width probe; past
+    it (or over the probe budget) the estimate lands between lineage and
+    circuit, like an unaffordable dpdb."""
+    assert query is not None
+    probe = nulldp_probe(db, query)
+    if probe.ok and probe.table_max <= NULLDP_CELL_LIMIT:
+        return TIER_NULLDP + _fraction(probe.cells.bit_length()) / 4.0
+    return TIER_LINEAGE + 0.5 + _fraction(_effective_search_variables(db)) / 2.0
+
+
+def _nulldp_detail(
+    db: IncompleteDatabase, query: BooleanQuery | None
+) -> Mapping[str, Any] | None:
+    assert query is not None
+    return nulldp_probe(db, query).detail()
+
+
 def _dpdb_detail(kind: str) -> Detail:
     def detail(
         db: IncompleteDatabase, query: BooleanQuery | None
@@ -833,6 +914,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_single_occurrence,
     cost=_closed_form_cost(TIER_CLOSED_FORM),
+    floor=TIER_CLOSED_FORM,
     run=_run_ignoring(_val_nonuniform.count_valuations_single_occurrence),
 ))
 
@@ -845,6 +927,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_codd,
     cost=_closed_form_cost(TIER_CLOSED_FORM_CODD),
+    floor=TIER_CLOSED_FORM_CODD,
     run=_run_ignoring(_val_codd.count_valuations_codd),
 ))
 
@@ -857,6 +940,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_uniform_val,
     cost=_closed_form_cost(TIER_CLOSED_FORM_UNIFORM),
+    floor=TIER_CLOSED_FORM_UNIFORM,
     run=_run_ignoring(_val_uniform.count_valuations_uniform),
 ))
 
@@ -869,9 +953,25 @@ register(Method(
     supports_marginals=False,
     applies=_applies_delta("val"),
     cost=_delta_cost("val"),
+    floor=TIER_DELTA,
     run=_run_ignoring(count_valuations_delta),
     fallback="circuit",
     detail=_delta_detail("val"),
+))
+
+register(Method(
+    name="nulldp",
+    problem="val",
+    description="lineage matches, null-by-null elimination over domain values",
+    polynomial=False,
+    supports_weights=False,
+    supports_marginals=False,
+    applies=_applies_nulldp,
+    cost=_nulldp_cost,
+    floor=TIER_NULLDP,
+    run=_run_ignoring(count_valuations_nulldp),
+    fallback="brute",
+    detail=_nulldp_detail,
 ))
 
 register(Method(
@@ -883,6 +983,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_dpdb,
     cost=_dpdb_cost("val"),
+    floor=TIER_DPDB,
     run=_run_ignoring(count_valuations_dpdb),
     fallback="brute",
     detail=_dpdb_detail("val"),
@@ -897,6 +998,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_lineage,
     cost=_search_cost(TIER_LINEAGE),
+    floor=TIER_LINEAGE,
     run=_run_ignoring(count_valuations_lineage),
     fallback="brute",
 ))
@@ -910,6 +1012,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
+    floor=TIER_CIRCUIT,
     run=_run_circuit("val", lambda circuit, weights: circuit.count()),
     fallback="brute",
 ))
@@ -923,6 +1026,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_always,
     cost=_brute_cost,
+    floor=TIER_BRUTE,
     run=_run_ignoring(brute.count_valuations_brute, "budget"),
 ))
 
@@ -935,6 +1039,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_uniform_unary,
     cost=_closed_form_cost(TIER_CLOSED_FORM),
+    floor=TIER_CLOSED_FORM,
     run=_run_ignoring(_comp_uniform.count_completions_uniform_unary),
 ))
 
@@ -947,6 +1052,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_delta("comp"),
     cost=_delta_cost("comp"),
+    floor=TIER_DELTA,
     run=_run_ignoring(count_completions_delta),
     fallback="circuit",
     detail=_delta_detail("comp"),
@@ -961,6 +1067,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_dpdb,
     cost=_dpdb_cost("comp"),
+    floor=TIER_DPDB,
     run=_run_ignoring(count_completions_dpdb),
     fallback="brute",
     detail=_dpdb_detail("comp"),
@@ -975,6 +1082,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_lineage,
     cost=_search_cost(TIER_LINEAGE),
+    floor=TIER_LINEAGE,
     run=_run_ignoring(count_completions_lineage),
     fallback="brute",
 ))
@@ -988,6 +1096,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
+    floor=TIER_CIRCUIT,
     run=_run_circuit("comp", lambda circuit, weights: circuit.count()),
     fallback="brute",
 ))
@@ -1001,6 +1110,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_always,
     cost=_brute_cost,
+    floor=TIER_BRUTE,
     run=_run_ignoring(brute.count_completions_brute, "budget"),
 ))
 
@@ -1013,6 +1123,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_single_occurrence,
     cost=_closed_form_cost(TIER_CLOSED_FORM),
+    floor=TIER_CLOSED_FORM,
     run=_run_ignoring(
         _val_nonuniform.count_valuations_weighted_single_occurrence, "weights"
     ),
@@ -1027,6 +1138,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
+    floor=TIER_CIRCUIT,
     run=_run_circuit(
         "val", lambda circuit, weights: circuit.weighted_count(weights)
     ),
@@ -1042,6 +1154,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_always,
     cost=_brute_cost,
+    floor=TIER_BRUTE,
     run=_run_ignoring(
         brute.count_valuations_weighted_brute, "budget", "weights"
     ),
@@ -1056,6 +1169,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_marginal_circuit,
     cost=_search_cost(TIER_CIRCUIT),
+    floor=TIER_CIRCUIT,
     run=_run_circuit(
         "val", lambda circuit, weights: circuit.marginals(weights)
     ),
@@ -1101,6 +1215,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_single_occurrence,
     cost=_closed_form_cost(TIER_CLOSED_FORM),
+    floor=TIER_CLOSED_FORM,
     run=_run_sweep_single_occurrence,
 ))
 
@@ -1113,6 +1228,7 @@ register(Method(
     supports_marginals=True,
     applies=_applies_circuit,
     cost=_search_cost(TIER_CIRCUIT),
+    floor=TIER_CIRCUIT,
     run=_run_circuit(
         "val",
         lambda circuit, weights: circuit.weighted_count_many(list(weights or ())),
@@ -1129,6 +1245,7 @@ register(Method(
     supports_marginals=False,
     applies=_applies_always,
     cost=_brute_cost,
+    floor=TIER_BRUTE,
     run=_run_sweep_brute,
 ))
 

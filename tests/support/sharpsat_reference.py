@@ -25,7 +25,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.complexity.cnf import CNF
-from repro.compile.ordering import branching_order
+from support.branching import branching_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.ddnnf_trace import TraceBuilder

@@ -88,10 +88,12 @@ def test_completions_lineage_matches_brute_and_poly(seed, flavor, uniform, codd)
 @pytest.mark.parametrize("size", [3, 5, 7])
 def test_hard_val_family_small_sizes(size):
     db, query = scaling_hard_val_instance(size, chord_probability=0.3, seed=size)
-    # Small cycles keep the lineage treewidth low, so auto now routes the
-    # hard cell to the tree-decomposition DP instead of the trail search.
-    assert planner.resolve("val", db, query) == "dpdb"
-    assert count_valuations(db, query) == count_valuations_brute(db, query)
+    # Small cycles keep every null-elimination table small, so auto routes
+    # the hard cell to nulldp; the boolean DP must agree with both.
+    assert planner.resolve("val", db, query) == "nulldp"
+    expected = count_valuations_brute(db, query)
+    assert count_valuations(db, query) == expected
+    assert count_valuations(db, query, method="dpdb") == expected
 
 
 @pytest.mark.parametrize("size", [3, 5, 7])
@@ -106,8 +108,8 @@ def test_hard_comp_family_small_sizes(size):
 
 class TestAutoSelection:
     def test_auto_prefers_poly_then_lineage(self):
-        # Hard cell (R(x,x), naive non-uniform): auto resolves to the
-        # width-bounded DP (the instance's elimination width is tiny).
+        # Hard cell (R(x,x), naive non-uniform): auto resolves to null
+        # elimination (one two-cell table).
         from repro.db.fact import Fact
         from repro.db.incomplete import IncompleteDatabase
         from repro.db.terms import Null
@@ -116,7 +118,7 @@ class TestAutoSelection:
             [Fact("R", [Null(1), Null(1)])], dom={Null(1): ["a", "b"]}
         )
         assert planner.resolve("val", db, BCQ([Atom("R", ["x", "x"])])) == (
-            "dpdb"
+            "nulldp"
         )
         # Tractable cell: auto keeps the polynomial algorithm.
         assert planner.resolve("val", db, BCQ([Atom("R", ["x", "y"])])) == (

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.complexity.cnf import CNF, CNF3, count_models_brute, count_sat
-from repro.compile.ordering import (
-    branching_order,
-    elimination_order,
-    primal_graph,
-)
+from repro.compile.ordering import elimination_order, primal_graph
 from repro.compile.sharpsat import ModelCounter, count_models
+from support.branching import branching_order
 from support.sharpsat_reference import (
     ReferenceModelCounter,
     reference_count_models,

@@ -545,7 +545,7 @@ class TestWidthProbe:
 
         add_sink(sink)
         try:
-            plan("val", db, query, "auto")
+            plan("val", db, query, "dpdb")
         finally:
             remove_sink(sink)
         assert [d["details"]["dpdb"]["cells"] for d in decisions] == [cells]
@@ -583,9 +583,13 @@ class TestWidthThresholdFallback:
 
     def test_planner_prefers_dpdb_only_below_the_width_limit(self):
         low_db, low_query = scaling_long_cycle_val_instance(12, 1)
-        low = plan("val", low_db, low_query, "auto")
+        low = plan("val", low_db, low_query, "dpdb")
         assert low.chosen == "dpdb"
         assert "width" in low.explain()
+        low_row = next(item for item in low.considered if item.method == "dpdb")
+        assert low_row.cost < 10.0  # costed below the lineage tier
+        # auto prefers null elimination, one tier lower still.
+        assert plan("val", low_db, low_query, "auto").chosen == "nulldp"
 
         high_db, high_query = scaling_hard_comp_instance(20)
         high = plan("comp", high_db, high_query, "auto")
@@ -597,17 +601,22 @@ class TestWidthThresholdFallback:
         assert dpdb_row.cost > 10.0  # costed above the lineage tier
         assert dpdb_row.detail["width"] > DPDB_WIDTH_LIMIT
 
-    def test_auto_picks_dpdb_on_a_mid_width_hard_cell(self):
+    def test_dpdb_undercuts_lineage_on_a_mid_width_hard_cell(self):
         db, query = scaling_grid_val_instance(4, 12, 3)
-        built = plan("val", db, query, "auto")
+        built = plan("val", db, query, "dpdb")
         dpdb_row = next(
             item for item in built.considered if item.method == "dpdb"
         )
         assert dpdb_row.detail["width"] == 14
-        assert built.chosen == "dpdb"
-        answer = solve("val", db, query)
+        assert dpdb_row.cost < 10.0  # below the lineage tier
+        answer = solve("val", db, query, method="dpdb")
         assert answer.method == "dpdb"
         assert answer.count == count_valuations_lineage(db, query)
+        # auto takes null elimination, with the same count.
+        probe_cache_clear()
+        auto = solve("val", db, query)
+        assert auto.method == "nulldp"
+        assert auto.count == answer.count
 
     def test_forced_dpdb_above_the_cap_still_answers_correctly(self):
         db, query = scaling_hard_comp_instance(20)
@@ -619,7 +628,7 @@ class TestWidthThresholdFallback:
 
     def test_plan_json_carries_the_width_detail(self):
         db, query = scaling_grid_val_instance(3, 4)
-        record = plan("val", db, query, "auto").to_dict()
+        record = plan("val", db, query, "dpdb").to_dict()
         row = next(
             item for item in record["considered"] if item["method"] == "dpdb"
         )

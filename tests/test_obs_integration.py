@@ -94,10 +94,10 @@ class TestJobMetrics:
         assert result.ok
         metrics = result.meta["metrics"]
         assert "planner.run" in metrics["phases"]
-        # The hard cell runs the trail search or (at low width) the dpdb
-        # DP; either way the solver layer contributes phases.
+        # The hard cell runs null elimination, the dpdb DP or the trail
+        # search; either way the solver layer contributes phases.
         assert any(
-            name.startswith(("compile.", "dpdb."))
+            name.startswith(("compile.", "dpdb.", "nulldp."))
             for name in metrics["phases"]
         )
         assert metrics["counters"].get("planner.decision", 0) >= 1
@@ -114,17 +114,23 @@ class TestJobMetrics:
         assert hard.ok and codd.ok
         hard_auto, codd_auto, hard_forced, codd_forced = events
         assert hard_auto["requested"] == "auto"
-        assert hard_auto["unevaluated"] == []
-        assert "dpdb" in hard_auto["costs"]
+        # nulldp fits, so pricing stops below the dpdb floor.
+        assert hard_auto["chosen"] == "nulldp"
+        assert hard_auto["unevaluated"] == ["dpdb", "lineage", "circuit", "brute"]
+        assert "nulldp" in hard_auto["costs"]
+        for name in hard_auto["unevaluated"]:
+            assert hard_auto["rejected"][name].startswith(
+                "not evaluated: 'nulldp' costs"
+            )
         assert hard_forced["requested"] == hard_forced["chosen"] == hard.method
         assert hard_forced["unevaluated"] == [
             name for name in ("single-occurrence", "codd", "uniform", "delta",
-                              "dpdb", "lineage", "circuit", "brute")
+                              "nulldp", "dpdb", "lineage", "circuit", "brute")
             if name != hard.method
         ]
         assert codd_auto["chosen"] == "codd"
         assert codd_auto["unevaluated"] == [
-            "delta", "dpdb", "lineage", "circuit", "brute",
+            "delta", "nulldp", "dpdb", "lineage", "circuit", "brute",
         ]
         for name in codd_auto["unevaluated"]:
             assert codd_auto["rejected"][name] == (
@@ -137,7 +143,7 @@ class TestJobMetrics:
         hard = scaling_hard_val_instance(6, seed=6)
         codd = scaling_codd_instance(6, seed=1)
         cases = [
-            (CountJob("val", *hard), "dpdb"),
+            (CountJob("val", *hard), "nulldp"),
             (CountJob("val", *codd), "codd"),
             (CountJob("comp", *hard), None),
             (CountJob("val-weighted", *hard), "circuit"),
@@ -178,6 +184,7 @@ class TestPoolAggregation:
         solver_before = (
             registry.counter("sharpsat.decisions").value
             + registry.counter("dpdb.runs").value
+            + registry.counter("nulldp.runs").value
         )
 
         results = BatchEngine(workers=2).run(jobs)
@@ -186,7 +193,7 @@ class TestPoolAggregation:
         for result in results:
             metrics = result.meta["metrics"]
             assert any(
-                name.startswith(("compile.", "dpdb."))
+                name.startswith(("compile.", "dpdb.", "nulldp."))
                 for name in metrics["phases"]
             ), result.label
             assert metrics["counters"], result.label
@@ -206,10 +213,11 @@ class TestPoolAggregation:
             == queue_before + len(jobs)
         )
         # Worker-side solver counters were absorbed into the parent
-        # (trail-search decisions or dpdb DP runs, whichever path ran).
+        # (trail-search decisions or DP runs, whichever path ran).
         solver_after = (
             registry.counter("sharpsat.decisions").value
             + registry.counter("dpdb.runs").value
+            + registry.counter("nulldp.runs").value
         )
         assert solver_after > solver_before
         # And the cache gauges were published.

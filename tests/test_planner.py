@@ -42,8 +42,8 @@ class TestRegistry:
 
     def test_method_vocabulary_matches_pre_registry_dispatch(self):
         assert set(planner.method_names("val")) == {
-            "auto", "poly", "brute", "delta", "dpdb", "lineage", "circuit",
-            "single-occurrence", "codd", "uniform",
+            "auto", "poly", "brute", "delta", "nulldp", "dpdb", "lineage",
+            "circuit", "single-occurrence", "codd", "uniform",
         }
         assert set(planner.method_names("comp")) == {
             "auto", "poly", "brute", "delta", "dpdb", "lineage", "circuit",
@@ -71,8 +71,8 @@ class TestPlans:
     def test_plan_reports_rejections_with_reasons(self):
         db, query = scaling_hard_val_instance(6, seed=1)
         plan = planner.plan("val", db, query)
-        # The low-width hard cell now routes to the tree-decomposition DP.
-        assert plan.chosen == "dpdb"
+        # The small-table hard cell routes to null elimination.
+        assert plan.chosen == "nulldp"
         rejected = {
             item.method: item.reason
             for item in plan.considered
@@ -82,18 +82,18 @@ class TestPlans:
         assert rejected["single-occurrence"]  # a human-readable reason
         text = plan.explain()
         assert "lineage" in text and "single-occurrence" in text
-        assert "width" in text  # the dpdb probe's cost detail surfaces
+        assert "cells" in text  # the nulldp probe's cost detail surfaces
 
     def test_plan_costs_order_applicable_methods(self):
         db, query = scaling_hard_val_instance(6, seed=1)
-        plan = planner.plan("val", db, query)
+        # auto stops pricing at nulldp; price every entry directly.
         costs = {
-            item.method: item.cost
-            for item in plan.considered
-            if item.applicable
+            entry.name: entry.cost(db, query)
+            for entry in planner.methods_for("val")
+            if entry.applies(db, query)[0]
         }
-        assert costs["dpdb"] < costs["lineage"] < costs["circuit"]
-        assert costs["circuit"] < costs["brute"]
+        assert costs["nulldp"] < costs["dpdb"] < costs["lineage"]
+        assert costs["lineage"] < costs["circuit"] < costs["brute"]
 
     def test_poly_plan_on_hard_cell_carries_error(self):
         db, query = scaling_hard_val_instance(6, seed=1)
@@ -140,10 +140,15 @@ class TestPlans:
         db, query = scaling_hard_val_instance(6, seed=1)
         record = planner.plan("val", db, query).to_dict()
         json.dumps(record)
-        assert record["chosen"] == "dpdb"
+        assert record["chosen"] == "nulldp"
         assert all("reason" in item for item in record["considered"])
+        nulldp_row = next(
+            item for item in record["considered"] if item["method"] == "nulldp"
+        )
+        assert nulldp_row["detail"]["cells"] <= nulldp_row["detail"]["cell_limit"]
+        forced = planner.plan("val", db, query, "dpdb").to_dict()
         dpdb_row = next(
-            item for item in record["considered"] if item["method"] == "dpdb"
+            item for item in forced["considered"] if item["method"] == "dpdb"
         )
         assert dpdb_row["detail"]["width"] <= dpdb_row["detail"]["width_limit"]
 
@@ -161,10 +166,10 @@ class TestDispatchParity:
         assert planner.resolve("val", db, free) == "single-occurrence"
 
     def test_auto_on_hard_cell_is_lineage(self):
-        # A low-width hard cell goes to the DP; lineage is the choice as
-        # soon as the width probe reports more than the dpdb limit.
+        # A small-table hard cell goes to null elimination; the DPs give
+        # way to lineage once their tables pass the memory ceiling.
         db, query = scaling_hard_val_instance(6, seed=1)
-        assert planner.resolve("val", db, query) == "dpdb"
+        assert planner.resolve("val", db, query) == "nulldp"
 
     def test_resolution_survives_astronomical_valuation_totals(self):
         # 5000 nulls of domain 10: the total has ~5000 decimal digits,
@@ -236,4 +241,4 @@ class TestDispatchParity:
             assert count_valuations(db, query) == 42
         finally:
             del planner._REGISTRY["val"][name]
-        assert planner.resolve("val", db, query) == "dpdb"
+        assert planner.resolve("val", db, query) == "nulldp"

@@ -1,8 +1,10 @@
 """The planner prices only methods that can still be chosen.
 
 Under ``auto`` an applicable closed form makes every non-polynomial method
-moot (the tier lattice puts it below all of them), ``poly`` never prices
-a non-polynomial method, and a forced method prices only itself and its
+moot (the tier lattice puts it below all of them), the rest are priced in
+floor order until the best cost is below the next floor (a fitting
+``nulldp`` spares the dpdb width probe), ``poly`` never prices a
+non-polynomial method, and a forced method prices only itself and its
 fallback.  Skipped methods stay in the plan as ``not evaluated`` rows.
 The differential class checks the shortcut never changes what ``auto``
 picks: its choice is the argmin of cost over every entry priced directly.
@@ -14,8 +16,9 @@ import random
 
 import pytest
 
-from repro.compile import dpdb
+from repro.compile import dpdb, nulldp
 from repro.core.query import CustomQuery
+from repro.db.deltas import ResolveNull
 from repro.exact import planner
 from repro.exact.dispatch import solve
 from repro.io.queries import parse_query
@@ -57,6 +60,7 @@ def _probes_cached() -> int:
     return (
         dpdb._probe_val.cache_info().currsize
         + dpdb._probe_comp.cache_info().currsize
+        + nulldp.nulldp_probe.cache_info().currsize
     )
 
 
@@ -216,10 +220,83 @@ class TestAutoMatchesFullPricing:
             expected = _direct_argmin(problem, db, query)
             assert planner.plan(problem, db, query).chosen == expected
 
-    def test_hard_cells_price_every_entry(self):
+    def test_hard_cells_price_up_to_the_next_floor(self):
         for problem, db, query in SCALING[5:]:
             built = planner.plan(problem, db, query)
-            assert not any(
-                item.reason.startswith("not evaluated")
-                for item in built.considered
+            rows = {item.method: item for item in built.considered}
+            best = rows[built.chosen].cost
+            for entry in planner.methods_for(problem):
+                row = rows[entry.name]
+                if row.reason.startswith("not evaluated"):
+                    # Skipped only where the floor proves it cannot win.
+                    assert not entry.polynomial and best < entry.floor
+                elif not entry.polynomial and row.applicable:
+                    assert row.cost >= entry.floor
+
+
+class TestFloorOrderedPricing:
+    """``auto`` prices non-polynomial methods cheapest floor first and
+    stops once the best cost is below the next floor."""
+
+    def test_fitting_nulldp_never_runs_the_dpdb_probe(self):
+        db, query = scaling_hard_val_instance(12, seed=4)
+        dpdb.probe_cache_clear()
+        misses = dpdb._probe_val.cache_info().misses
+        built = planner.plan("val", db, query)
+        assert built.chosen == "nulldp"
+        assert dpdb._probe_val.cache_info().misses == misses
+        rows = {item.method: item for item in built.considered}
+        assert rows["nulldp"].detail["cells"] > 0
+        for name in ("dpdb", "lineage", "circuit", "brute"):
+            assert rows[name].cost is None and rows[name].detail is None
+            assert rows[name].reason.startswith(
+                "not evaluated: 'nulldp' costs"
             )
+        answer = solve("val", db, query)
+        assert answer.method == "nulldp"
+        assert dpdb._probe_val.cache_info().misses == misses
+
+    def test_nulldp_past_the_cell_limit_hands_over_to_dpdb(self, monkeypatch):
+        db, query = scaling_hard_val_instance(12, seed=4)
+        dpdb.probe_cache_clear()
+        monkeypatch.setattr(planner, "NULLDP_CELL_LIMIT", 0)
+        built = planner.plan("val", db, query)
+        rows = {item.method: item for item in built.considered}
+        assert rows["nulldp"].cost > planner.TIER_LINEAGE
+        assert rows["dpdb"].detail["width"] is not None
+        assert built.chosen == "dpdb"
+
+    def test_probe_cache_clear_drops_the_nulldp_memo(self):
+        db, query = scaling_hard_val_instance(8, seed=1)
+        planner.plan("val", db, query)
+        assert nulldp.nulldp_probe.cache_info().currsize >= 1
+        dpdb.probe_cache_clear()
+        assert nulldp.nulldp_probe.cache_info().currsize == 0
+
+    def test_pure_resolution_delta_chains_still_pick_delta(self):
+        db, query = scaling_hard_val_instance(8, seed=1)
+        child = db
+        for null in db.nulls[:3]:
+            child = child.apply(ResolveNull(null, sorted(child.domain_of(null))[0]))
+        dpdb.probe_cache_clear()
+        built = planner.plan("val", child, query)
+        assert built.chosen == "delta"
+        assert _probes_cached() == 0
+        rows = {item.method: item for item in built.considered}
+        assert rows["nulldp"].reason.startswith("not evaluated: 'delta' costs")
+
+    def test_comp_plans_are_unchanged(self):
+        comp_cases = [case for case in SCALING if case[0] == "comp"]
+        comp_cases += [
+            ("comp", db, query)
+            for problem, db, query in _random_instances()
+            if problem == "comp"
+        ]
+        for problem, db, query in comp_cases:
+            built = planner.plan(problem, db, query)
+            assert built.chosen == _direct_argmin(problem, db, query)
+            assert "nulldp" not in {item.method for item in built.considered}
+        db, query = scaling_hard_comp_instance(5, seed=1)
+        dpdb.probe_cache_clear()
+        assert planner.plan("comp", db, query).chosen == "dpdb"
+        assert dpdb._probe_comp.cache_info().currsize == 1

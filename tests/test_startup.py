@@ -96,18 +96,25 @@ def test_closed_form_count_leaves_numpy_unloaded(
     assert "numpy" not in _imported(completed.stderr)
 
 
-def test_planning_a_hard_cell_leaves_numpy_unloaded(tmp_path):
+@pytest.mark.parametrize(
+    "method, priced_method, detail_key",
+    [("auto", "nulldp", "cells"), ("dpdb", "dpdb", "width")],
+)
+def test_planning_a_hard_cell_leaves_numpy_unloaded(
+    tmp_path, method, priced_method, detail_key
+):
     path = _db_file(
         tmp_path, "cycle", scaling_hard_val_instance(10, seed=1)[0]
     )
     completed = _python(
         "-X", "importtime", "-m", "repro",
-        "plan", "--db", path, "--query", "R(x,x)", "--json",
+        "plan", "--db", path, "--query", "R(x,x)", "--method", method,
+        "--json",
     )
     record = json.loads(completed.stdout)
-    # The width probe ran (dpdb was priced) without loading numpy.
+    # The probe ran (its method was priced) without loading numpy.
     priced = {entry["method"]: entry for entry in record["considered"]}
-    assert priced["dpdb"]["detail"]["width"] is not None
+    assert priced[priced_method]["detail"][detail_key] is not None
     assert "numpy" not in _imported(completed.stderr)
 
 
